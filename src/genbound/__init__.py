@@ -14,8 +14,6 @@ number field, with T of size (4 - eps) log^2 Delta. Submodules:
   generated-by-small-primes test
 - criteria_engine: the exact and generic criteria, minimal-T solvers and
   discriminant thresholds
-- verify_driver: one-command reproduction of every numerical claim
-- cli: command-line front end
 """
 
 __version__ = "0.1.0"

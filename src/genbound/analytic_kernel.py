@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import WindowTooWideError
 
 __all__ = [
@@ -146,29 +148,51 @@ def archimedean_sh_integral(L) -> float:
     return -Lv + 2.0 * Am1 * (math.log1p(-1.0 / A) - 2.0 * math.log(2.0))
 
 
-def alpha(y: float) -> float:
+_LOG2 = math.log(2.0)
+_BETA_SHIFT = CONSTANTS.euler_gamma + CONSTANTS.log_2pi
+
+
+def _checked_array(y: np.ndarray, name: str):
+    """numpy, once every element of y is checked to exceed 1."""
+    if not np.all(y > 1.0):
+        raise ValueError(f"{name} needs y > 1")
+    return np
+
+
+# alpha and beta serve scalar callers in the hot loops of the generic
+# solvers and whole grids in the exact solver; one formula runs on the math
+# module or on numpy, and the scalar path pays only one isinstance test
+def alpha(y):
     """Normalized 1/cosh coefficient: archimedean_ch_integral at e^L = y, per e^{L/2}.
 
     Increasing and positive on y > 1, with horizontal asymptote 2 log 2.
-    Stable up to y = 1e12 and beyond.
+    Stable up to y = 1e12 and beyond. A numpy array y is mapped elementwise.
     """
-    if not y > 1.0:
+    if isinstance(y, np.ndarray):
+        xp = _checked_array(y, "alpha")
+    elif y > 1.0:
+        xp = math
+    else:
         raise ValueError("alpha needs y > 1")
-    s = math.sqrt(y)
-    return (-math.log(y) + 2.0 * (s + 1.0) * (math.log(2.0) - math.log1p(1.0 / s))) / s
+    s = xp.sqrt(y)
+    return (-xp.log(y) + 2.0 * (s + 1.0) * (_LOG2 - xp.log1p(1.0 / s))) / s
 
 
-def beta(y: float) -> float:
+def beta(y):
     """Normalized 1/sinh coefficient with the gamma + log 2pi shift, per e^{L/2}.
 
     Increasing, with horizontal asymptote 2(gamma + log 2pi). The log(sqrt(y)-1)
-    in the raw form degenerates at y = 1, hence the domain restriction.
+    in the raw form degenerates at y = 1, hence the domain restriction. A numpy
+    array y is mapped elementwise.
     """
-    if not y > 1.0:
+    if isinstance(y, np.ndarray):
+        xp = _checked_array(y, "beta")
+    elif y > 1.0:
+        xp = math
+    else:
         raise ValueError("beta needs y > 1")
-    s = math.sqrt(y)
-    shift = CONSTANTS.euler_gamma + CONSTANTS.log_2pi
-    return (-math.log(y) + 2.0 * (s - 1.0) * (math.log1p(-1.0 / s) + shift)) / s
+    s = xp.sqrt(y)
+    return (-xp.log(y) + 2.0 * (s - 1.0) * (xp.log1p(-1.0 / s) + _BETA_SHIFT)) / s
 
 
 def window_denominator(c: float, n: int) -> float:

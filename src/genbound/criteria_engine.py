@@ -72,6 +72,8 @@ class FieldShape:
 class TestConfig:
     """Window parameters: norm bound T and scale c with window (T, cT]."""
 
+    __test__ = False  # a library class, not a pytest test class
+
     T: float
     c: float
 
@@ -89,14 +91,11 @@ class TestConfig:
     def log_window(self) -> float:
         return math.log(self.ct)
 
-    @property
-    def half_window(self) -> float:
-        """exp(L/2) = sqrt(cT), the pivot the short sums are cut at."""
-        return math.sqrt(self.ct)
-
 
 @dataclass(frozen=True)
 class TestEvaluation:
+    __test__ = False  # a library class, not a pytest test class
+
     criterion_id: str
     lhs: float
     rhs_terms: tuple  # ((name, value), ...) in fixed order
@@ -128,6 +127,27 @@ class BoundReport:
         return self.evaluation.margin
 
 
+def _exact_terms(field, T, c, table=None):
+    """LHS and named RHS terms of the exact criterion on the window (T, cT].
+
+    T and c are floats or numpy arrays that broadcast together; every term
+    comes out in their broadcast shape. At c = 1 the window is empty and
+    its term is zero.
+    """
+    ct = c * T
+    a = np.sqrt(ct)
+    primes, powers = field.norm_indexes(np.max(ct), table)
+    lhs = (a - 1.0 - 0.5 * np.log(ct)) ** 2
+    terms = (
+        ("discriminant", 2.0 * (a - 1.0) * field.log_abs_disc),
+        ("arch_real", -field.r1 * a * alpha(ct)),
+        ("arch_total", -field.degree * a * beta(ct)),
+        ("short_ideals", 8.0 * a * powers.short_sum(a)),
+        ("window_primes", 2.0 * primes.window_sum(T, ct)),
+    )
+    return lhs, terms
+
+
 def eval_exact(field, cfg: TestConfig, table=None) -> TestEvaluation:
     """Exact criterion from the field's own ideal data.
 
@@ -136,21 +156,8 @@ def eval_exact(field, cfg: TestConfig, table=None) -> TestEvaluation:
     window prime sum. Only the intrinsic hypothesis T > c is required;
     the 73.2/81 floors belong to the majorant-based tests.
     """
-    a = cfg.half_window
-    ct = cfg.ct
-    lhs = (a - 1.0 - 0.5 * cfg.log_window) ** 2
-    if cfg.c > 1.0:
-        window = 2.0 * field.prime_ideal_weighted_sum(cfg.T, ct, table=table).value
-    else:
-        window = 0.0
-    terms = (
-        ("discriminant", 2.0 * (a - 1.0) * field.log_abs_disc),
-        ("arch_real", -field.r1 * a * alpha(ct)),
-        ("arch_total", -field.degree * a * beta(ct)),
-        ("short_ideals", 8.0 * a * field.short_ideal_sum(a, table=table)),
-        ("window_primes", window),
-    )
-    return TestEvaluation("exact", lhs, terms)
+    lhs, terms = _exact_terms(field, cfg.T, cfg.c, table)
+    return TestEvaluation("exact", float(lhs), tuple((name, float(v)) for name, v in terms))
 
 
 def _generic_floor(shape: FieldShape, c: float, floor_mode: bool) -> float:
@@ -291,7 +298,7 @@ def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
 def _candidate_scales(degree: int):
     lo = 1.0 / (16.0 * degree)
     hi = 1.0 / degree
-    cs = {1.0 + g for g in np.geomspace(lo, hi, 64)}
+    cs = {1.0 + g for g in np.geomspace(lo, hi, 64).tolist()}
     cs.add(1.0 + 1.0 / (4.0 * degree))
     return sorted(cs)
 
@@ -358,41 +365,62 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
         )
     t, c = best
     ev = eval_generic(shape, TestConfig(t, c), floor_mode)
-    assert ev.passed
+    if not ev.passed:
+        raise NoBoundCertifiedError(f"least T={t:g} found at c={c:g} fails on re-evaluation")
     subject = f"degree {shape.degree}, r1 {shape.r1}, log disc {shape.log_disc:g}"
     return BoundReport(ev.criterion_id, subject, t, c, ev, tuple(path))
 
 
-# window scales tried by the exact solver: 1 (empty window) plus a
-# geometric sweep up to 4
-_EXACT_SCALES = [1.0] + [1.0 + g for g in np.geomspace(1.0 / 64.0, 3.0, 40)] + [
-    1.5,
-    2.0,
-    2.5,
-    3.0,
-    3.5,
-]
+# window scales tried by the exact solver, ascending: 1 (empty window) plus
+# a geometric sweep up to 4
+_EXACT_SCALES = np.array(sorted(
+    {1.0, 1.5, 2.0, 2.5, 3.0, 3.5} | {1.0 + g for g in np.geomspace(1.0 / 64.0, 3.0, 40)}
+))
+
+# the exact solver evaluates integer T in blocks: [2, 16) first, then each
+# block twice as long as the last, up to this many T, so the grid's memory
+# does not grow with the discriminant
+_FIRST_T_BLOCK = (2, 16)
+_MAX_T_BLOCK = 256
+
+# grid points whose margin, summed in numpy, exceeds -_GRID_SLACK are
+# re-evaluated by eval_exact; the two sums of the same terms differ by
+# rounding only, some 1e-12 on terms of size up to 1e4
+_GRID_SLACK = 1e-9
 
 
 def minimal_T_exact(field, t_ceiling: float | None = None, table=None) -> BoundReport:
     """Least integer norm bound the exact criterion certifies for this field.
 
-    Scans T = 2, 3, ... up to t_ceiling (default 4 log^2 disc), trying for
-    each a fixed grid of window scales c in [1, 4] with c < T.
+    Scans T = 2, 3, ... up to t_ceiling (default 4 log^2 disc) and, for each
+    T, the window scales c of _EXACT_SCALES with c < T in ascending order;
+    the first passing (T, c) in that order is returned. The criterion is
+    evaluated in blocks of consecutive T times all scales in one numpy
+    broadcast: T in [2, 16) first, then each block twice as long as the
+    last, up to _MAX_T_BLOCK values of T. Grid points that pass, or nearly
+    pass, are confirmed in scan order by eval_exact, whose evaluation is
+    the one reported; where eval_exact does not pass, the scan goes on.
     """
     if t_ceiling is None:
         t_ceiling = 4.0 * field.log_abs_disc ** 2
     cap = math.floor(t_ceiling)
+    subject = f"degree {field.degree}, |disc| {abs(field.field_disc)}"
     path = []
-    for T in range(2, cap + 1):
-        scales = sorted({c for c in _EXACT_SCALES if c < T and c <= 4.0})
-        for c in scales:
-            ev = eval_exact(field, TestConfig(float(T), c), table=table)
+    lo, hi = _FIRST_T_BLOCK
+    while lo <= cap:
+        hi = min(hi, cap + 1)
+        T = np.arange(lo, hi, dtype=np.float64)[:, None]
+        lhs, terms = _exact_terms(field, T, _EXACT_SCALES, table)
+        margin = lhs - sum(v for _, v in terms)
+        valid = _EXACT_SCALES < T
+        for i, j in zip(*np.nonzero(valid & (margin > -_GRID_SLACK))):
+            t, c = float(T[i, 0]), float(_EXACT_SCALES[j])
+            ev = eval_exact(field, TestConfig(t, c), table=table)
             if ev.passed:
-                path.append(f"T={T}: passes at c={c:.6f}")
-                subject = f"degree {field.degree}, |disc| {abs(field.field_disc)}"
-                return BoundReport("exact", subject, float(T), c, ev, tuple(path))
-        path.append(f"T={T}: {len(scales)} scales, none pass")
+                path.append(f"T={t:g}: passes at c={c:.6f}")
+                return BoundReport("exact", subject, t, c, ev, tuple(path))
+        path.append(f"T in [{lo}, {hi - 1}]: {int(valid.sum())} points, none pass")
+        lo, hi = hi, hi + min(2 * (hi - lo), _MAX_T_BLOCK)
     raise NoBoundCertifiedError(f"no integer T <= {cap} certified by the exact test")
 
 

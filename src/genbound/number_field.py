@@ -7,6 +7,13 @@ with von Mangoldt weights, windowed weighted sums over that stream, the
 Minkowski bound, and a brute-force principality search for small prime
 ideals. Splitting at a prime whose index status cannot be certified raises
 rather than guessing.
+
+The stream is held as two prefix-sum indexes (rational_sieve.NormIndex):
+one over the prime ideals, for the window sum over (T, cT], and one over
+all prime-ideal powers, for psi and the short sum. Each sum is two binary
+searches and a difference of prefix sums, for scalar bounds or numpy
+arrays of them; the difference cancels, with an absolute error of a few
+unit roundoffs times the prefix sums at the upper bound.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from .arith import factorize, is_probable_prime, kronecker
 from .errors import (
@@ -37,7 +42,7 @@ from .polynomials import (
     resultant,
     signature,
 )
-from .rational_sieve import WeightedSum, default_table
+from .rational_sieve import NormIndex, WeightedSum, default_table
 
 __all__ = [
     "StreamEntry",
@@ -50,6 +55,10 @@ __all__ = [
 
 _SMALL_PRIMES = [p for p in range(2, 210)
                  if all(p % q for q in range(2, p)) and p > 1]
+
+# a field's indexes before its ideal stream is first built; shared, since
+# building an index, even an empty one, costs tens of microseconds
+_NO_NORMS = NormIndex([], [])
 
 
 @dataclass(frozen=True)
@@ -196,11 +205,7 @@ class NumberField:
             self._field_disc = certified
         self._stream_lock = threading.RLock()
         self._built_to = 0
-        self._norms = np.empty(0, dtype=np.int64)
-        self._weights = np.empty(0)
-        self._cum_weights = np.empty(0)
-        self._p1_norms = np.empty(0, dtype=np.int64)
-        self._p1_weights = np.empty(0)
+        self._prime_index = self._power_index = _NO_NORMS
         self._entry_rows = []
 
     @classmethod
@@ -270,23 +275,24 @@ class NumberField:
             raise ValueError(f"{p} is not prime")
         f = list(self.coeffs)
         if self.disc_defining % p != 0:
-            shape = sorted(
-                (1, d) for prod, d in gf_distinct_degree(gf_normalize(f, p), p)
-                for _ in range((len(prod) - 1) // d)
-            )
+            if self.degree == 2:
+                # p does not divide the index, and (disc_defining|p) = (D|p)
+                shape = _quadratic_shape(self.disc_defining, p)
+            else:
+                shape = sorted(
+                    (1, d) for prod, d in gf_distinct_degree(gf_normalize(f, p), p)
+                    for _ in range((len(prod) - 1) // d)
+                )
         elif self._dedekind(p):
             shape = gf_factor_shape(f, p)
         elif self.degree == 2 and self._field_disc is not None:
-            D = self._field_disc
-            if D % p == 0:
-                shape = [(2, 1)]
-            elif kronecker(D, p) == 1:
-                shape = [(1, 1), (1, 1)]
-            else:
-                shape = [(1, 2)]
+            shape = _quadratic_shape(self._field_disc, p)
         else:
             raise SplittingUnavailableError(p)
-        assert sum(e * d for e, d in shape) == self.degree
+        if sum(e * d for e, d in shape) != self.degree:
+            raise SplittingUnavailableError(
+                p, f"splitting type {shape} at p={p} does not add up to degree {self.degree}"
+            )
         memo[p] = shape
         return shape
 
@@ -316,13 +322,16 @@ class NumberField:
                         m += 1
             rows.sort()
             self._entry_rows = rows
-            self._norms = np.array([r[0] for r in rows], dtype=np.int64)
-            self._weights = np.array([r[4] for r in rows])
-            self._cum_weights = np.cumsum(self._weights) if rows else np.empty(0)
+            self._power_index = NormIndex([r[0] for r in rows], [r[4] for r in rows])
             first = [r for r in rows if r[3] == 1]
-            self._p1_norms = np.array([r[0] for r in first], dtype=np.int64)
-            self._p1_weights = np.array([r[4] for r in first])
+            self._prime_index = NormIndex([r[0] for r in first], [r[4] for r in first])
             self._built_to = target
+
+    def norm_indexes(self, x: float, table=None) -> tuple[NormIndex, NormIndex]:
+        """Indexes over the prime ideals and over all prime-ideal powers, complete to norm x."""
+        with self._stream_lock:
+            self._ensure_stream(x, table)
+            return self._prime_index, self._power_index
 
     def ideal_lambda_stream(self, x: float, table=None):
         """Prime-ideal powers of norm <= x, sorted by norm, with Lambda weights."""
@@ -340,33 +349,23 @@ class NumberField:
         """Sum of log(Np) log(cT/Np) over prime ideals with T < Np <= cT."""
         if not 1.0 <= T < cT:
             raise ValueError("need 1 <= T < cT")
-        self._ensure_stream(cT, table)
-        lo = np.searchsorted(self._p1_norms, T, side="right")
-        hi = np.searchsorted(self._p1_norms, cT, side="right")
-        if hi <= lo:
-            return WeightedSum(0.0, 0, T, cT)
-        norms = self._p1_norms[lo:hi].astype(np.float64)
-        value = float(np.sum(self._p1_weights[lo:hi] * (math.log(cT) - np.log(norms))))
-        return WeightedSum(value, int(hi - lo), T, cT)
+        primes, _ = self.norm_indexes(cT, table)
+        count = int(primes.rank(cT) - primes.rank(T))
+        return WeightedSum(float(primes.window_sum(T, cT)), count, T, cT)
 
     def short_ideal_sum(self, A: float, table=None) -> float:
         """Sum of Lambda(a) (1/A - 1/Na) over ideal powers with Na <= A; never positive."""
         if A < 2:
             return 0.0
-        self._ensure_stream(A, table)
-        hi = np.searchsorted(self._norms, math.floor(A), side="right")
-        if hi == 0:
-            return 0.0
-        norms = self._norms[:hi].astype(np.float64)
-        return float(np.sum(self._weights[:hi] * (1.0 / A - 1.0 / norms)))
+        _, powers = self.norm_indexes(A, table)
+        return float(powers.short_sum(A))
 
     def field_chebyshev_psi(self, x: float, table=None) -> float:
         """Sum of Lambda over ideal powers of norm <= x."""
         if x < 2:
             return 0.0
-        self._ensure_stream(x, table)
-        hi = np.searchsorted(self._norms, math.floor(x), side="right")
-        return float(self._cum_weights[hi - 1]) if hi else 0.0
+        _, powers = self.norm_indexes(x, table)
+        return float(powers.psi(x))
 
     # ------------------------------------------------------------------
     # geometry and principality
@@ -407,6 +406,15 @@ class NumberField:
             if abs(nm) == norm_target:
                 return PrincipalityWitness(tuple(cand), nm)
         return None
+
+
+def _quadratic_shape(D: int, p: int):
+    """Splitting type of p in the quadratic field of discriminant D from (D|p)."""
+    if D % p == 0:
+        return [(2, 1)]
+    if kronecker(D, p) == 1:
+        return [(1, 1), (1, 1)]
+    return [(1, 2)]
 
 
 def load_cubic_fixtures():

@@ -9,6 +9,7 @@ frozen here as literals.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from genbound.analytic_kernel import (
@@ -225,6 +226,20 @@ def test_alpha_beta_domain():
             alpha(bad)
         with pytest.raises(ValueError):
             beta(bad)
+        with pytest.raises(ValueError):
+            alpha(np.array([2.0, bad]))
+        with pytest.raises(ValueError):
+            beta(np.array([2.0, bad]))
+
+
+def test_alpha_beta_arrays_match_scalars():
+    # numpy's log and sqrt may round differently from the math module's
+    ys = np.geomspace(1.01, 1e12, 200)
+    for f in (alpha, beta):
+        got = f(ys)
+        assert got.shape == ys.shape
+        for y, v in zip(ys, got):
+            assert v == pytest.approx(f(float(y)), rel=1e-13, abs=1e-15)
 
 
 # ----------------------------------------------------------------------

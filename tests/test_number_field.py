@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from genbound.arith import is_probable_prime
 from genbound.errors import (
     IrreducibilityError,
     SplittingUnavailableError,
@@ -20,6 +21,7 @@ from genbound.number_field import (
     load_cubic_fixtures,
     parse_poly,
 )
+from genbound.polynomials import gf_factor_shape
 from genbound.rational_sieve import SieveTable
 
 LOG2 = math.log(2)
@@ -120,6 +122,27 @@ def test_split_quadratic_shapes():
     assert K.split_prime(5) == [(2, 1)]
     assert K.split_prime(7) == [(1, 1), (1, 1)]
     assert K.split_prime(11) == [(1, 2)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-1, -1, 1],       # disc 5: 2 inert
+    [-4, -1, 1],       # disc 17: 2 split
+    [-2, 0, 1],        # disc 8
+    [2, -1, 1],        # disc -7: 2 split
+    [1, -1, 1],        # disc -3: 2 inert
+    [5, 0, 1],         # disc -20
+    [2499998, -1, 1],  # disc -9999991
+])
+def test_quadratic_split_matches_gf_factoring(coeffs):
+    # degree 2 reads the splitting from a Kronecker symbol; factoring the
+    # polynomial over GF(p) must give the same shape at every unramified p
+    K = NumberField(coeffs)
+    compared = 0
+    for p in range(2, 2000):
+        if is_probable_prime(p) and K.disc_defining % p:
+            assert K.split_prime(p) == gf_factor_shape(coeffs, p), p
+            compared += 1
+    assert compared > 250
 
 
 def test_split_via_supplied_disc():
