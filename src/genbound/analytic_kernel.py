@@ -105,7 +105,7 @@ def conv_pp(x: float, L) -> float:
 
     Only the branch on [L/2, L] feeds the criteria (prime norms above the
     generation level), but the full piecewise form is exposed for the
-    quadrature cross-checks.
+    quadrature cross-checks in tests/test_analytic_kernel.py.
     """
     Lv = _level(L)
     if x < 0.0 or x > Lv:

@@ -16,6 +16,9 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # a composite this small has a prime factor <= 37, found above
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -127,7 +127,7 @@ class BoundReport:
         return self.evaluation.margin
 
 
-def _exact_terms(field, T, c, table=None):
+def _exact_terms(field, T, c):
     """LHS and named RHS terms of the exact criterion on the window (T, cT].
 
     T and c are floats or numpy arrays that broadcast together; every term
@@ -136,7 +136,7 @@ def _exact_terms(field, T, c, table=None):
     """
     ct = c * T
     a = np.sqrt(ct)
-    primes, powers = field.norm_indexes(np.max(ct), table)
+    primes, powers = field.norm_indexes(np.max(ct))
     lhs = (a - 1.0 - 0.5 * np.log(ct)) ** 2
     terms = (
         ("discriminant", 2.0 * (a - 1.0) * field.log_abs_disc),
@@ -148,7 +148,7 @@ def _exact_terms(field, T, c, table=None):
     return lhs, terms
 
 
-def eval_exact(field, cfg: TestConfig, table=None) -> TestEvaluation:
+def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
     """Exact criterion from the field's own ideal data.
 
     LHS (sqrt(cT) - 1 - L/2)^2 against the discriminant term, the two
@@ -156,7 +156,7 @@ def eval_exact(field, cfg: TestConfig, table=None) -> TestEvaluation:
     window prime sum. Only the intrinsic hypothesis T > c is required;
     the 73.2/81 floors belong to the majorant-based tests.
     """
-    lhs, terms = _exact_terms(field, cfg.T, cfg.c, table)
+    lhs, terms = _exact_terms(field, cfg.T, cfg.c)
     return TestEvaluation("exact", float(lhs), tuple((name, float(v)) for name, v in terms))
 
 
@@ -247,29 +247,6 @@ def specialized_constants(degree: int) -> SpecializedConstants:
         slope = _floor5(coefficient_of_S(degree, c, target))
         log_sq = _ceil5(1.0 / (math.sqrt(c) * TWO_PI))
     return SpecializedConstants(degree, c, target, slope, log_sq)
-
-
-def specialized_margin(degree: int, s: float) -> float:
-    """Bare inequality gap of the degree test at S = s, full alpha/beta.
-
-    Positive gap means the inequality holds. No validity floor is
-    enforced here; as a generation criterion use eval_degree_specialized.
-    """
-    k = specialized_constants(degree)
-    d2 = 1.0 if degree == 2 else 0.0
-    dodd = degree % 2
-    y = s * s
-    ls = math.log(s)
-    rhs = (
-        1.06
-        - SHORT_POWER_SLOPE * d2
-        + SHORT_POWER_CONST * d2 / s
-        - dodd * alpha(y)
-        - degree * beta(y)
-        + 2.0 * ls
-        + k.log_sq_coeff * ls * ls
-    )
-    return k.slope * s - rhs
 
 
 def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
@@ -389,7 +366,7 @@ _MAX_T_BLOCK = 256
 _GRID_SLACK = 1e-9
 
 
-def minimal_T_exact(field, t_ceiling: float | None = None, table=None) -> BoundReport:
+def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
     """Least integer norm bound the exact criterion certifies for this field.
 
     Scans T = 2, 3, ... up to t_ceiling (default 4 log^2 disc) and, for each
@@ -410,12 +387,12 @@ def minimal_T_exact(field, t_ceiling: float | None = None, table=None) -> BoundR
     while lo <= cap:
         hi = min(hi, cap + 1)
         T = np.arange(lo, hi, dtype=np.float64)[:, None]
-        lhs, terms = _exact_terms(field, T, _EXACT_SCALES, table)
+        lhs, terms = _exact_terms(field, T, _EXACT_SCALES)
         margin = lhs - sum(v for _, v in terms)
         valid = _EXACT_SCALES < T
         for i, j in zip(*np.nonzero(valid & (margin > -_GRID_SLACK))):
             t, c = float(T[i, 0]), float(_EXACT_SCALES[j])
-            ev = eval_exact(field, TestConfig(t, c), table=table)
+            ev = eval_exact(field, TestConfig(t, c))
             if ev.passed:
                 path.append(f"T={t:g}: passes at c={c:.6f}")
                 return BoundReport("exact", subject, t, c, ev, tuple(path))

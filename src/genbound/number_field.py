@@ -299,13 +299,12 @@ class NumberField:
     # ------------------------------------------------------------------
     # ideal stream
     # ------------------------------------------------------------------
-    def _ensure_stream(self, x: float, table=None) -> None:
+    def _ensure_stream(self, x: float) -> None:
         with self._stream_lock:
             if x <= self._built_to:
                 return
             target = int(max(math.ceil(x), 2 * self._built_to, 64))
-            table = table or default_table()
-            primes = table.primes_up_to(target)
+            primes = default_table().primes_up_to(target)
             rows = []
             for p in primes:
                 p = int(p)
@@ -327,17 +326,17 @@ class NumberField:
             self._prime_index = NormIndex([r[0] for r in first], [r[4] for r in first])
             self._built_to = target
 
-    def norm_indexes(self, x: float, table=None) -> tuple[NormIndex, NormIndex]:
+    def norm_indexes(self, x: float) -> tuple[NormIndex, NormIndex]:
         """Indexes over the prime ideals and over all prime-ideal powers, complete to norm x."""
         with self._stream_lock:
-            self._ensure_stream(x, table)
+            self._ensure_stream(x)
             return self._prime_index, self._power_index
 
-    def ideal_lambda_stream(self, x: float, table=None):
+    def ideal_lambda_stream(self, x: float):
         """Prime-ideal powers of norm <= x, sorted by norm, with Lambda weights."""
         if x < 2:
             return []
-        self._ensure_stream(x, table)
+        self._ensure_stream(x)
         out = []
         for norm, p, fdeg, m, w in self._entry_rows:
             if norm > x:
@@ -345,26 +344,26 @@ class NumberField:
             out.append(StreamEntry(p, fdeg, m, norm, w))
         return out
 
-    def prime_ideal_weighted_sum(self, T: float, cT: float, table=None) -> WeightedSum:
+    def prime_ideal_weighted_sum(self, T: float, cT: float) -> WeightedSum:
         """Sum of log(Np) log(cT/Np) over prime ideals with T < Np <= cT."""
         if not 1.0 <= T < cT:
             raise ValueError("need 1 <= T < cT")
-        primes, _ = self.norm_indexes(cT, table)
+        primes, _ = self.norm_indexes(cT)
         count = int(primes.rank(cT) - primes.rank(T))
         return WeightedSum(float(primes.window_sum(T, cT)), count, T, cT)
 
-    def short_ideal_sum(self, A: float, table=None) -> float:
+    def short_ideal_sum(self, A: float) -> float:
         """Sum of Lambda(a) (1/A - 1/Na) over ideal powers with Na <= A; never positive."""
         if A < 2:
             return 0.0
-        _, powers = self.norm_indexes(A, table)
+        _, powers = self.norm_indexes(A)
         return float(powers.short_sum(A))
 
-    def field_chebyshev_psi(self, x: float, table=None) -> float:
+    def field_chebyshev_psi(self, x: float) -> float:
         """Sum of Lambda over ideal powers of norm <= x."""
         if x < 2:
             return 0.0
-        _, powers = self.norm_indexes(x, table)
+        _, powers = self.norm_indexes(x)
         return float(powers.psi(x))
 
     # ------------------------------------------------------------------

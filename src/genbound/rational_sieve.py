@@ -4,8 +4,10 @@ Backend for the rational majorants of the criteria: Chebyshev psi, the
 window-weighted sum over prime powers in (T, cT], its closed-form majorant
 (c-1-log c) T + (c-1)/(4 pi) sqrt(T) log^2(cT) per unit degree, and the
 empirical scan of the square-root RH bound for psi that the majorant rests
-on. The sieve is a flat bit vector; queries beyond its limit fail loudly
-instead of truncating.
+on. The sieve is a flat bit vector, grown on demand: a query above the
+current limit re-sieves to the larger of the query and twice that limit.
+A query above the fixed ceiling MAX_LIMIT raises SieveCapacityError
+before anything is allocated, instead of truncating.
 
 Every weighted sum over norms, here and in number_field, is read from a
 NormIndex: the sorted norms N with the prefix sums W, WL and WI of w,
@@ -19,10 +21,7 @@ relative to the range's own terms.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import PreconditionError, SieveCapacityError
 
 __all__ = [
-    "DEFAULT_LIMIT",
+    "MAX_LIMIT",
     "SCHOENFELD_FLOOR",
     "NormIndex",
     "SieveTable",
@@ -40,22 +39,16 @@ __all__ = [
     "chebyshev_psi",
     "default_table",
     "schoenfeld_check",
-    "set_default_limit",
     "weighted_lambda_sum",
     "weighted_sum_majorant",
 ]
 
-DEFAULT_LIMIT = 10_000_000
+# no table sieves beyond this; the exact criterion reads norms up to
+# 16 log^2 disc, under 10^6 even for disc = 10^100
+MAX_LIMIT = 10_000_000
 
 # smallest T for which the sqrt-accurate psi bound is available
 SCHOENFELD_FLOOR = 73.2
-
-_CACHE_MAGIC = b"GPRIMES1"
-
-# largest gap between consecutive primes below 1.8e18 is 1476; far below any
-# desk-scale limit the gaps are much smaller, so a cached list whose last
-# prime trails the requested limit by more than this cannot be complete
-_MAX_PRIME_GAP = 1500
 
 
 @dataclass(frozen=True)
@@ -111,121 +104,105 @@ class NormIndex:
         return self._w[k] / A - self._wi[k]
 
 
-class SieveTable:
-    """Primes and prime powers up to a fixed limit, immutable after build.
+@dataclass(frozen=True)
+class _Sieved:
+    """One build of a SieveTable: primes and prime powers up to limit, never mutated."""
 
-    Prime powers are stored as sorted parallel arrays (norm, log p); their
-    NormIndex, built on the first sum query, answers psi and range sums.
+    limit: int
+    primes: np.ndarray
+    pp_norms: np.ndarray
+    pp_logs: np.ndarray
+    pp_index: NormIndex
+
+
+def _sieve_to(limit: int) -> _Sieved:
+    is_comp = np.zeros(limit + 1, dtype=bool)
+    is_comp[:2] = True
+    for p in range(2, math.isqrt(limit) + 1):
+        if not is_comp[p]:
+            is_comp[p * p :: p] = True
+    primes = np.flatnonzero(~is_comp).astype(np.int64)
+    norms = [primes]
+    logs = [np.log(primes.astype(np.float64))]
+    for p in primes:
+        p = int(p)
+        if p * p > limit:
+            break
+        q = p * p
+        lp = math.log(p)
+        while q <= limit:
+            norms.append(np.array([q], dtype=np.int64))
+            logs.append(np.array([lp]))
+            q *= p
+    norm_arr = np.concatenate(norms)
+    log_arr = np.concatenate(logs)
+    order = np.argsort(norm_arr, kind="stable")
+    pp_norms, pp_logs = norm_arr[order], log_arr[order]
+    return _Sieved(limit, primes, pp_norms, pp_logs, NormIndex(pp_norms, pp_logs))
+
+
+class SieveTable:
+    """Primes and prime powers, sieved on demand up to MAX_LIMIT.
+
+    A query above the current limit re-sieves, under one lock, to the
+    larger of the query and twice the limit. Each build is one immutable
+    _Sieved snapshot: prime powers as sorted parallel arrays (norm, log p)
+    and their NormIndex, which answers psi and range sums. A query takes
+    the snapshot once, so it never mixes arrays from two builds.
     """
 
-    def __init__(self, limit: int = DEFAULT_LIMIT, cache_path: str | None = None):
-        if limit < 2:
-            raise ValueError("sieve limit must be at least 2")
-        self.limit = int(limit)
-        primes = None
-        if cache_path and os.path.exists(cache_path):
-            primes = self._try_load_cache(cache_path)
-        if primes is None:
-            primes = self._sieve(self.limit)
-            if cache_path:
-                self._write_cache(cache_path, primes)
-        self.primes = primes
-        self._build_prime_powers()
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._sieved = _sieve_to(1)
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _sieve(limit: int) -> np.ndarray:
-        is_comp = np.zeros(limit + 1, dtype=bool)
-        is_comp[:2] = True
-        for p in range(2, math.isqrt(limit) + 1):
-            if not is_comp[p]:
-                is_comp[p * p :: p] = True
-        return np.flatnonzero(~is_comp).astype(np.int64)
+    def _grow(self, x: float) -> _Sieved:
+        """The current snapshot, re-sieved first if it ends below x."""
+        sieved = self._sieved
+        if x <= sieved.limit:
+            return sieved
+        if x > MAX_LIMIT:
+            raise SieveCapacityError(f"query at {x} exceeds the sieve ceiling {MAX_LIMIT}")
+        with self._lock:
+            sieved = self._sieved
+            if x > sieved.limit:
+                sieved = _sieve_to(min(max(math.ceil(x), 2 * sieved.limit), MAX_LIMIT))
+                self._sieved = sieved
+            return sieved
 
-    def _try_load_cache(self, path: str) -> np.ndarray | None:
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(8)
-                if magic != _CACHE_MAGIC:
-                    return None
-                (count,) = struct.unpack("<Q", fh.read(8))
-                data = np.fromfile(fh, dtype="<i8", count=count)
-        except (OSError, struct.error):
-            return None
-        if len(data) != count or count == 0:
-            return None
-        last = int(data[-1])
-        if last > self.limit or self.limit - last > _MAX_PRIME_GAP:
-            # wrong range for this table: either sieved further than asked
-            # (fine to rebuild) or visibly incomplete
-            return None
-        if data[0] != 2 or np.any(np.diff(data) <= 0):
-            return None
-        return data.astype(np.int64)
+    @property
+    def limit(self) -> int:
+        return self._sieved.limit
 
-    def _write_cache(self, path: str, primes: np.ndarray) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<Q", len(primes)))
-            primes.astype("<i8").tofile(fh)
-        os.replace(tmp, path)
+    @property
+    def primes(self) -> np.ndarray:
+        return self._sieved.primes
 
-    def _build_prime_powers(self) -> None:
-        norms = [self.primes]
-        logs = [np.log(self.primes.astype(np.float64))]
-        for p in self.primes:
-            p = int(p)
-            if p * p > self.limit:
-                break
-            q = p * p
-            lp = math.log(p)
-            while q <= self.limit:
-                norms.append(np.array([q], dtype=np.int64))
-                logs.append(np.array([lp]))
-                q *= p
-        norm_arr = np.concatenate(norms)
-        log_arr = np.concatenate(logs)
-        order = np.argsort(norm_arr, kind="stable")
-        self.pp_norms = norm_arr[order]
-        self.pp_logs = log_arr[order]
+    @property
+    def pp_norms(self) -> np.ndarray:
+        return self._sieved.pp_norms
 
-    @functools.cached_property
-    def pp_index(self) -> NormIndex:
-        # built lazily: the shared table serves field streams through
-        # primes_up_to alone, and four more arrays its size would be dead weight
-        return NormIndex(self.pp_norms, self.pp_logs)
+    @property
+    def pp_logs(self) -> np.ndarray:
+        return self._sieved.pp_logs
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _check_capacity(self, x: float) -> None:
-        if x > self.limit:
-            raise SieveCapacityError(
-                f"query at {x} exceeds sieve limit {self.limit}; "
-                "raise GENBOUND_SIEVE_LIMIT or build a larger table"
-            )
-
     def primes_up_to(self, x: float) -> np.ndarray:
-        self._check_capacity(x)
-        idx = np.searchsorted(self.primes, math.floor(x), side="right")
-        return self.primes[:idx]
+        primes = self._grow(x).primes
+        return primes[: np.searchsorted(primes, math.floor(x), side="right")]
 
     def chebyshev_psi(self, x: float) -> float:
         """Sum of log p over prime powers p^k <= x."""
         if x < 0:
             raise ValueError("psi needs x >= 0")
-        self._check_capacity(x)
-        return float(self.pp_index.psi(x))
+        return float(self._grow(x).pp_index.psi(x))
 
     def weighted_lambda_sum(self, T: float, cT: float) -> WeightedSum:
         """Sum of Lambda(a) log(cT/a) over prime powers a in (T, cT]."""
         if not 1.0 <= T < cT:
             raise PreconditionError("need 1 <= T < cT")
-        self._check_capacity(cT)
-        index = self.pp_index
+        index = self._grow(cT).pp_index
         count = int(index.rank(cT) - index.rank(T))
         return WeightedSum(float(index.window_sum(T, cT)), count, T, cT)
 
@@ -235,16 +212,17 @@ class SieveTable:
         Returns the minimum margin of the bound; a nonnegative result is the
         empirical support for using that inequality as a premise.
         """
-        self._check_capacity(u_max)
-        lo = np.searchsorted(self.pp_norms, SCHOENFELD_FLOOR, side="left")
-        hi = np.searchsorted(self.pp_norms, u_max, side="right")
+        sieved = self._grow(u_max)
+        norms = sieved.pp_norms
+        lo = np.searchsorted(norms, SCHOENFELD_FLOOR, side="left")
+        hi = np.searchsorted(norms, u_max, side="right")
         if hi <= lo:
             raise PreconditionError("empty scan: no prime powers in [73.2, u_max]")
-        u = self.pp_norms[lo:hi].astype(np.float64)
+        u = norms[lo:hi].astype(np.float64)
         # psi evaluated at the jump points themselves, where the margin is smallest
-        margins = u + np.sqrt(u) * np.log(u) ** 2 / (4.0 * math.pi) - self.pp_index.psi(u)
+        margins = u + np.sqrt(u) * np.log(u) ** 2 / (4.0 * math.pi) - sieved.pp_index.psi(u)
         k = int(np.argmin(margins))
-        return SchoenfeldReport(float(margins[k]), int(self.pp_norms[lo + k]), int(hi - lo))
+        return SchoenfeldReport(float(margins[k]), int(norms[lo + k]), int(hi - lo))
 
 
 def weighted_sum_majorant(T: float, c: float, n: int) -> float:
@@ -267,38 +245,12 @@ def weighted_sum_majorant(T: float, c: float, n: int) -> float:
 # ----------------------------------------------------------------------
 # shared default table
 # ----------------------------------------------------------------------
-_default_lock = threading.Lock()
-_default_table: SieveTable | None = None
-_default_limit_override: int | None = None
-
-
-def _env_limit() -> int:
-    raw = os.environ.get("GENBOUND_SIEVE_LIMIT")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(f"bad GENBOUND_SIEVE_LIMIT: {raw!r}") from exc
-    return DEFAULT_LIMIT
-
-
-def set_default_limit(limit: int | None) -> None:
-    """Override the default sieve limit (None restores the environment default)."""
-    global _default_table, _default_limit_override
-    with _default_lock:
-        _default_limit_override = limit
-        _default_table = None
+_default_table = SieveTable()
 
 
 def default_table() -> SieveTable:
-    """Process-wide shared table, built lazily at the configured limit."""
-    global _default_table
-    with _default_lock:
-        if _default_table is None:
-            limit = _default_limit_override or _env_limit()
-            cache = os.environ.get("GENBOUND_PRIME_CACHE")
-            _default_table = SieveTable(limit, cache_path=cache)
-        return _default_table
+    """The process-wide shared table."""
+    return _default_table
 
 
 def chebyshev_psi(x: float) -> float:

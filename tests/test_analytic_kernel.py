@@ -28,7 +28,8 @@ from genbound.analytic_kernel import (
     window_denominator,
 )
 from genbound.errors import WindowTooWideError
-from genbound.quadrature import adaptive_simpson
+
+from quadrature import adaptive_simpson
 
 RNG_SEED = 20240814
 

@@ -22,17 +22,12 @@ from genbound.number_field import (
     parse_poly,
 )
 from genbound.polynomials import gf_factor_shape
-from genbound.rational_sieve import SieveTable
+from genbound.rational_sieve import chebyshev_psi
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
 LOG5 = math.log(5)
 LOG7 = math.log(7)
-
-
-@pytest.fixture(scope="module")
-def table():
-    return SieveTable(100_000)
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +176,9 @@ def test_split_rejects_composite():
 # ----------------------------------------------------------------------
 # ideal stream
 # ----------------------------------------------------------------------
-def test_stream_frozen_small(table):
+def test_stream_frozen_small():
     K = NumberField([5, 0, 1])
-    st = K.ideal_lambda_stream(9, table)
+    st = K.ideal_lambda_stream(9)
     assert [(e.norm, e.prime, e.residue_degree, e.power) for e in st] == [
         (2, 2, 1, 1), (3, 3, 1, 1), (3, 3, 1, 1), (4, 2, 1, 2), (5, 5, 1, 1),
         (7, 7, 1, 1), (7, 7, 1, 1), (8, 2, 1, 3), (9, 3, 1, 2), (9, 3, 1, 2),
@@ -193,57 +188,57 @@ def test_stream_frozen_small(table):
     assert weights == pytest.approx(expected, rel=1e-14)
 
 
-def test_stream_gaussian(table):
+def test_stream_gaussian():
     K = NumberField([1, 0, 1])
-    st = K.ideal_lambda_stream(5, table)
+    st = K.ideal_lambda_stream(5)
     assert [(e.norm, e.weight) for e in st] == pytest.approx(
         [(2, LOG2), (4, LOG2), (5, LOG5), (5, LOG5)]
     )
     # inert prime enters at its square norm with the doubled weight
-    st9 = K.ideal_lambda_stream(9, table)
+    st9 = K.ideal_lambda_stream(9)
     assert (9, 2, 1) in {(e.norm, e.residue_degree, e.power) for e in st9}
     nine = [e for e in st9 if e.norm == 9 and e.prime == 3]
     assert len(nine) == 1 and nine[0].weight == pytest.approx(2 * LOG3)
 
 
-def test_stream_growth_consistent(table):
+def test_stream_growth_consistent():
     K = NumberField([5, 0, 1])
-    small = K.ideal_lambda_stream(9, table)
-    big = K.ideal_lambda_stream(200, table)
+    small = K.ideal_lambda_stream(9)
+    big = K.ideal_lambda_stream(200)
     assert big[: len(small)] == small
     assert all(e.norm <= 200 for e in big)
 
 
-def test_stream_below_two(table):
-    assert NumberField([5, 0, 1]).ideal_lambda_stream(1.5, table) == []
+def test_stream_below_two():
+    assert NumberField([5, 0, 1]).ideal_lambda_stream(1.5) == []
 
 
-def test_weighted_tail_sum(table):
+def test_weighted_tail_sum():
     K = NumberField([1, 0, 1])
-    ws = K.prime_ideal_weighted_sum(3, 10, table)
+    ws = K.prime_ideal_weighted_sum(3, 10)
     want = 2 * LOG5 * math.log(10 / 5) + 2 * LOG3 * math.log(10 / 9)
     assert ws.value == pytest.approx(want, rel=1e-13)
     assert ws.term_count == 3
     with pytest.raises(ValueError):
-        K.prime_ideal_weighted_sum(10, 10, table)
+        K.prime_ideal_weighted_sum(10, 10)
 
 
-def test_short_ideal_sum(table):
+def test_short_ideal_sum():
     K = NumberField([1, 0, 1])
-    val = K.short_ideal_sum(5, table)
+    val = K.short_ideal_sum(5)
     want = LOG2 * (1 / 5 - 1 / 2) + LOG2 * (1 / 5 - 1 / 4)
     assert val == pytest.approx(want, rel=1e-13)
     assert val <= 0.0
     for A in (2, 10, 100, 1000):
-        assert K.short_ideal_sum(A, table) <= 0.0
-    assert K.short_ideal_sum(1.5, table) == 0.0
+        assert K.short_ideal_sum(A) <= 0.0
+    assert K.short_ideal_sum(1.5) == 0.0
 
 
-def test_field_psi(table):
+def test_field_psi():
     K = NumberField([1, 0, 1])
-    assert K.field_chebyshev_psi(5, table) == pytest.approx(2 * LOG2 + 2 * LOG5, rel=1e-13)
+    assert K.field_chebyshev_psi(5) == pytest.approx(2 * LOG2 + 2 * LOG5, rel=1e-13)
     # field psi is at most n times the rational psi
-    assert K.field_chebyshev_psi(1000, table) <= 2 * table.chebyshev_psi(1000) + 1e-9
+    assert K.field_chebyshev_psi(1000) <= 2 * chebyshev_psi(1000) + 1e-9
 
 
 # ----------------------------------------------------------------------

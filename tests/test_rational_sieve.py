@@ -2,21 +2,25 @@
 
 Oracles here are deliberately naive: trial-division prime powers, direct
 enumeration of weighted sums, and an exact piecewise integral for the
-partial-summation identity. The fast table must agree with all of them.
+partial-summation identity. The fast table must agree with all of them, and
+a table grown in many steps must agree with one sieved in a single step.
 """
 
 import math
-import struct
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from genbound import rational_sieve
 from genbound.errors import PreconditionError, SieveCapacityError
 from genbound.rational_sieve import (
+    MAX_LIMIT,
     SCHOENFELD_FLOOR,
     SieveTable,
     default_table,
-    set_default_limit,
     weighted_sum_majorant,
 )
 
@@ -28,7 +32,7 @@ PRIMES_BELOW_100 = [
 
 @pytest.fixture(scope="module")
 def table():
-    return SieveTable(300_000)
+    return SieveTable()
 
 
 def lambda_of(a):
@@ -53,11 +57,13 @@ def naive_psi(x):
 # primes and prime powers
 # ----------------------------------------------------------------------
 def test_primes_small():
-    t = SieveTable(100)
-    assert t.primes.tolist() == PRIMES_BELOW_100
+    t = SieveTable()
+    assert t.primes_up_to(100).tolist() == PRIMES_BELOW_100
+    assert t.primes_up_to(1.5).tolist() == []
 
 
 def test_prime_power_arrays(table):
+    table.chebyshev_psi(200)
     norms = table.pp_norms
     assert np.all(np.diff(norms) > 0)
     for q, p in [(4, 2), (8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (121, 11)]:
@@ -71,8 +77,108 @@ def test_prime_power_arrays(table):
 
 
 def test_limit_validation():
-    with pytest.raises(ValueError):
-        SieveTable(1)
+    t = SieveTable()
+    t.chebyshev_psi(1000)
+    limit = t.limit
+    for query in (
+        lambda: t.primes_up_to(MAX_LIMIT + 1),
+        lambda: t.chebyshev_psi(MAX_LIMIT + 1),
+        lambda: t.chebyshev_psi(1e12),
+        lambda: t.weighted_lambda_sum(10, MAX_LIMIT + 1),
+        lambda: t.schoenfeld_check(MAX_LIMIT + 1),
+    ):
+        with pytest.raises(SieveCapacityError):
+            query()
+    assert t.limit == limit
+
+
+# ----------------------------------------------------------------------
+# growth on demand
+# ----------------------------------------------------------------------
+def test_growth_in_steps_matches_single_build():
+    whole = SieveTable()
+    whole.chebyshev_psi(300_000)
+    assert whole.limit == 300_000
+    grown = SieveTable()
+    windows = [(2, 10), (50, 64), (100, 350.5), (1000, 4000), (20_000, 70_000), (100_000, 300_000)]
+    limits = []
+    for x in (64, 65, 200, 70_000, 140_000, 300_000):
+        grown.chebyshev_psi(x)
+        limits.append(grown.limit)
+        for y in (10, 64, x / 3, x):
+            assert grown.chebyshev_psi(y) == whole.chebyshev_psi(y)
+        for T, cT in windows:
+            if cT <= x:
+                assert grown.weighted_lambda_sum(T, cT) == whole.weighted_lambda_sum(T, cT)
+    # each query re-sieves to the larger of itself and twice the limit
+    assert limits == [64, 128, 256, 70_000, 140_000, 300_000]
+    assert np.array_equal(grown.primes, whole.primes)
+    assert np.array_equal(grown.pp_norms, whole.pp_norms)
+    assert np.array_equal(grown.pp_logs, whole.pp_logs)
+    assert SieveTable().schoenfeld_check(100_000) == whole.schoenfeld_check(100_000)
+
+
+def test_concurrent_growth():
+    reference = SieveTable()
+    points = [1000 * k + 17 for k in range(1, 200, 7)]
+    want = dict(zip(points, (reference.chebyshev_psi(x) for x in points)))
+    orders = [points, points[::-1]] + [random.Random(k).sample(points, len(points)) for k in (1, 2)]
+    shared = SieveTable()
+    start = threading.Barrier(len(orders))
+    results = [None] * len(orders)
+
+    def run(k):
+        start.wait()
+        results[k] = {x: shared.chebyshev_psi(x) for x in orders[k]}
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * len(orders)
+    # a build that finished late must not replace a larger one
+    assert shared.limit >= max(points)
+
+
+def test_waiting_query_reuses_larger_build(monkeypatch):
+    # a query that waited on the lock while a larger build ran must take
+    # that build, not sieve again to a smaller limit
+    builds = []
+    building, release = threading.Event(), threading.Event()
+
+    def slow_sieve_to(limit):
+        builds.append(limit)
+        building.set()
+        release.wait(timeout=10)
+        return sieve_to(limit)
+
+    sieve_to = rational_sieve._sieve_to
+    table = SieveTable()
+    monkeypatch.setattr(rational_sieve, "_sieve_to", slow_sieve_to)
+    big = threading.Thread(target=table.chebyshev_psi, args=(10_000,))
+    small = threading.Thread(target=table.chebyshev_psi, args=(5_000,))
+    big.start()
+    assert building.wait(timeout=10)
+    small.start()
+    small.join(timeout=0.05)  # let it reach the lock
+    release.set()
+    for th in (big, small):
+        th.join(timeout=10)
+        assert not th.is_alive()
+    assert builds == [10_000]
+    assert table.limit == 10_000
+
+
+def test_default_table_is_shared():
+    assert default_table() is default_table()
+    assert default_table().primes_up_to(30).tolist() == PRIMES_BELOW_100[:10]
 
 
 # ----------------------------------------------------------------------
@@ -93,8 +199,11 @@ def test_psi_guards(table):
     assert table.chebyshev_psi(0) == 0.0
     with pytest.raises(ValueError):
         table.chebyshev_psi(-1)
+    # the table grows past its old fixed limit of 300 000; psi(x) ~ x
+    assert table.chebyshev_psi(300_001) == pytest.approx(300_001, rel=0.01)
+    assert table.limit >= 300_001
     with pytest.raises(SieveCapacityError):
-        table.chebyshev_psi(300_001)
+        table.chebyshev_psi(MAX_LIMIT + 1)
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +250,12 @@ def test_weighted_sum_guards(table):
         table.weighted_lambda_sum(10, 10)
     with pytest.raises(PreconditionError):
         table.weighted_lambda_sum(0.5, 10)
+    ws = table.weighted_lambda_sum(10, 400_000)
+    # pi(400 000) = 33 860 primes and 174 higher prime powers, less the 7 up to 10
+    assert ws.term_count == 33_860 + 174 - 7
+    assert table.limit >= 400_000
     with pytest.raises(SieveCapacityError):
-        table.weighted_lambda_sum(10, 400_000)
+        table.weighted_lambda_sum(10, MAX_LIMIT + 1)
 
 
 def test_partial_summation_identity(table):
@@ -199,56 +312,3 @@ def test_schoenfeld_scan(table):
 def test_schoenfeld_empty_scan(table):
     with pytest.raises(PreconditionError):
         table.schoenfeld_check(73)
-
-
-# ----------------------------------------------------------------------
-# cache round trip
-# ----------------------------------------------------------------------
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "primes.bin")
-    t1 = SieveTable(10_000, cache_path=path)
-    assert (tmp_path / "primes.bin").exists()
-    with open(path, "rb") as fh:
-        assert fh.read(8) == b"GPRIMES1"
-        (count,) = struct.unpack("<Q", fh.read(8))
-        assert count == len(t1.primes)
-    t2 = SieveTable(10_000, cache_path=path)
-    assert np.array_equal(t1.primes, t2.primes)
-
-
-def test_cache_rejects_wrong_range(tmp_path):
-    path = str(tmp_path / "primes.bin")
-    SieveTable(1_000, cache_path=path)
-    # limit far beyond cached coverage: cache ignored, table rebuilt correctly
-    t = SieveTable(100_000, cache_path=path)
-    assert t.chebyshev_psi(100_000) == pytest.approx(100_000, rel=0.01)
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = str(tmp_path / "primes.bin")
-    with open(path, "wb") as fh:
-        fh.write(b"NOTMAGIC" + b"\x00" * 64)
-    t = SieveTable(100, cache_path=path)
-    assert t.primes.tolist() == PRIMES_BELOW_100
-
-
-# ----------------------------------------------------------------------
-# shared default table
-# ----------------------------------------------------------------------
-def test_default_table_override():
-    try:
-        set_default_limit(50_000)
-        t = default_table()
-        assert t.limit == 50_000
-        assert default_table() is t
-    finally:
-        set_default_limit(None)
-
-
-def test_env_limit(monkeypatch):
-    monkeypatch.setenv("GENBOUND_SIEVE_LIMIT", "12345")
-    try:
-        set_default_limit(None)
-        assert default_table().limit == 12345
-    finally:
-        set_default_limit(None)
