@@ -52,3 +52,12 @@ class UnknownDiscriminantError(GenboundError):
 
 class NoBoundCertifiedError(GenboundError):
     """No admissible (T, c) pair certified a bound for the given input."""
+
+
+class ArithmeticInvariantError(GenboundError):
+    """An exact computation broke an invariant that its algorithm guarantees.
+
+    Raised in place of ``assert`` so that ``python -O`` keeps the check: a
+    composed form off the discriminant, a torsion count of a "group" that is
+    not a power of p, a failed divisibility in Dedekind's criterion.
+    """

@@ -157,13 +157,13 @@ def _certify_irreducible(coeffs) -> str:
     n = len(coeffs) - 1
     for r in _integer_roots(coeffs):
         raise IrreducibilityError(f"reducible: integer root {r}")
-    for p in _SMALL_PRIMES:
-        if gf_is_irreducible(gf_normalize(coeffs, p), p):
-            return f"irreducible modulo {p}"
     if n <= 3:
         # monic with no integer root: any factorization would need a
         # rational root
         return "no rational root"
+    for p in _SMALL_PRIMES:
+        if gf_is_irreducible(gf_normalize(coeffs, p), p):
+            return f"irreducible modulo {p}"
     if n == 4:
         split = _quartic_quadratic_split(coeffs)
         if split is not None:

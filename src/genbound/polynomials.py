@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ArithmeticInvariantError
+
 __all__ = [
     "poly_trim",
     "poly_add",
@@ -420,8 +422,9 @@ def dedekind_index_certified(f, p):
     h_lift = [c % p for c in hbar]
     prod = poly_mul(g_lift, h_lift)
     diff = poly_sub(prod, f)
+    if any(c % p for c in diff):
+        raise ArithmeticInvariantError(f"g h - f is not divisible by p={p} for f={f}")
     t = [c // p for c in diff]
-    assert all(c % p == 0 for c in diff)
     tbar = gf_normalize(t, p)
     d = gf_gcd(gf_gcd(tbar, radical, p), hbar, p)
     return len(d) <= 1

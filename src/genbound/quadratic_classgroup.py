@@ -4,10 +4,11 @@ Forms are (a, b, c) triples of discriminant d = b^2 - 4ac, d a fundamental
 discriminant. Negative discriminants use the classical reduced-form
 normal form; positive ones use reduction cycles, with the ordinary (wide)
 group obtained from the narrow one by quotienting out the class of the
-norm -1 template. Composition is ideal multiplication: each form becomes
-a rank-2 module of half-integers, the product of the four generator pairs
-is put in Hermite normal form, and the result is read back off as a form.
-All of it is exact integer arithmetic.
+norm -1 template. Composition is Gauss-Dirichlet composition in the form
+of Cohen, GTM 138, Alg. 5.4.7: two extended gcds and one step modulo a
+leading coefficient. The elementary divisors come from p-torsion counts
+for each prime p dividing h, and the generation check grows the subgroup
+one prime class at a time. All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize, is_probable_prime, kronecker
+from .errors import ArithmeticInvariantError
+from .rational_sieve import default_table
 
 __all__ = [
     "is_fundamental_discriminant",
@@ -99,8 +102,9 @@ def _rho(form, d, sq):
     else:
         lo = 1 - abs(c)
     bp = lo + ((-b - lo) % two_c)
-    cp = (bp * bp - d) // (4 * c)
-    assert (bp * bp - d) % (4 * c) == 0
+    cp, rem = divmod(bp * bp - d, 4 * c)
+    if rem:
+        raise ArithmeticInvariantError(f"rho step from {form} left the discriminant {d}")
     return (c, bp, cp)
 
 
@@ -161,106 +165,86 @@ def _enumerate_reduced(d):
 
 
 # ----------------------------------------------------------------------
-# composition by ideal multiplication
+# composition and group structure
 # ----------------------------------------------------------------------
-def _hnf_two_cols(rows):
-    """Hermite basis [(X, 0), (Y, w)] of the span of integer (u, v) rows."""
-    rows = [list(r) for r in rows if r != (0, 0)]
-    # clear the second column down to a single gcd row
-    pivot = None
-    for r in rows:
-        if r[1] != 0:
-            pivot = r
-            break
-    if pivot is None:
-        raise ValueError("rank deficient module")
-    for r in rows:
-        if r is pivot or r[1] == 0:
-            continue
-        # gcd step on (pivot, r) in column v
-        while r[1] != 0:
-            q = pivot[1] // r[1]
-            pivot[0], pivot[1] = pivot[0] - q * r[0], pivot[1] - q * r[1]
-            pivot, r = r, pivot
-        if pivot[1] == 0:
-            pivot, r = r, pivot
-    if pivot[1] < 0:
-        pivot[0], pivot[1] = -pivot[0], -pivot[1]
-    X = 0
-    for r in rows:
-        if r[1] == 0:
-            X = math.gcd(X, r[0])
-    if X == 0:
-        raise ValueError("rank deficient module")
-    w = pivot[1]
-    Y = pivot[0] % X
-    return X, Y, w
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def _compose_raw(f1, f2, d):
-    """Form representing the product of the classes; inputs need a > 0."""
-    a1, b1, c1 = f1
+    """Form in the product class (Cohen, GTM 138, Alg. 5.4.7); inputs need a > 0."""
+    a1, b1, _ = f1
     a2, b2, c2 = f2
-    assert a1 > 0 and a2 > 0
-    rows = [
-        (2 * a1 * a2, 0),
-        (-a1 * b2, a1),
-        (-a2 * b1, a2),
-        ((b1 * b2 + d) // 2, -(b1 + b2) // 2),
-    ]
-    X, Y, w = _hnf_two_cols(rows)
-    assert X * w == 2 * a1 * a2
-    A = (a1 * a2) // (w * w)
-    B = (-Y // w) % (2 * A)
-    num = B * B - d
-    assert num % (4 * A) == 0
-    C = num // (4 * A)
+    if a1 <= 0 or a2 <= 0:
+        raise ArithmeticInvariantError(f"composition needs a > 0, got {f1} and {f2}")
+    s = (b1 + b2) // 2
+    g, y1, _ = _xgcd(a2, a1)
+    d1, x2, y2 = _xgcd(s, g)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
+    A, B = v1 * v2, b2 + 2 * v2 * r
+    C, rem = divmod(B * B - d, 4 * A)
+    if rem:
+        raise ArithmeticInvariantError(
+            f"composing {f1} and {f2} gave ({A}, {B}, .), not of discriminant {d}"
+        )
     return (A, B, C)
+
+
+def _abelian_invariants(elements, compose, identity):
+    """Invariant factors (ascending, each dividing the next) of a finite
+    abelian group given by its elements and composition.
+
+    A prime p exactly dividing h gives one factor p. For p^e || h, e >= 2,
+    the p-torsion counts |G[p^k]| = p^(s_k) are read off the map x -> x^p:
+    s_k - s_(k-1) cyclic p-factors have order >= p^k (Cohen, GTM 138, §2.4).
+    """
+
+    def power(x, m):
+        # left-to-right square-and-multiply, m >= 1
+        y = x
+        for bit in bin(m)[3:]:
+            y = compose(y, y)
+            if bit == "1":
+                y = compose(y, x)
+        return y
+
+    ranks = {}  # p -> [number of cyclic p-factors of order >= p^k, k = 1, 2, ...]
+    for p, e in factorize(len(elements))[0].items():
+        if e == 1:
+            ranks[p] = [1]
+            continue
+        pth = {x: power(x, p) for x in elements}
+        xs, s, ranks[p] = list(elements), 0, []
+        while s < e:
+            if len(ranks[p]) == e:
+                raise ArithmeticInvariantError(f"{p}-torsion stops at {p}^{s} < {p}^{e}")
+            xs = [pth.get(x) for x in xs]
+            n, t = xs.count(identity), s
+            while p**t < n:
+                t += 1
+            if p**t != n or t > e:
+                raise ArithmeticInvariantError(
+                    f"{n} elements killed by {p}^{len(ranks[p]) + 1}: not a power of {p} <= {p}^{e}"
+                )
+            ranks[p].append(t - s)
+            s = t
+    width = max((r[0] for r in ranks.values()), default=0)
+    return [
+        math.prod(p ** sum(k >= j for k in r) for p, r in ranks.items())
+        for j in range(width, 0, -1)
+    ]
 
 
 # ----------------------------------------------------------------------
 # class group description
 # ----------------------------------------------------------------------
-def _abelian_invariants(elements, compose, identity):
-    """Invariant factors (ascending, each dividing the next) of a small
-    abelian group given by its elements and composition."""
-    if len(elements) <= 1:
-        return []
-
-    def order_of(g):
-        k, x = 1, g
-        while x != identity:
-            x = compose(x, g)
-            k += 1
-        return k
-
-    orders = {g: order_of(g) for g in elements}
-    gmax = max(elements, key=lambda g: (orders[g], g))
-    e = orders[gmax]
-    if e == len(elements):
-        return [e]
-    sub = []
-    x = identity
-    for _ in range(e):
-        sub.append(x)
-        x = compose(x, gmax)
-    coset_rep = {}
-    reps = []
-    for g in elements:
-        if g in coset_rep:
-            continue
-        members = [compose(g, s) for s in sub]
-        rep = min(members)
-        for mem in members:
-            coset_rep[mem] = rep
-        reps.append(rep)
-
-    def q_compose(x, y):
-        return coset_rep[compose(x, y)]
-
-    return _abelian_invariants(reps, q_compose, coset_rep[identity]) + [e]
-
-
 @dataclass(frozen=True)
 class PrimeClassInfo:
     prime: int
@@ -308,9 +292,8 @@ class ClassGroupDescription:
         b0 = self._principal_b0()
         self.identity = self.class_of((1, b0, (b0 * b0 - disc) // 4))
         self.elementary_divisors = tuple(
-            _abelian_invariants(list(self.representatives), self.compose, self.identity)
+            _abelian_invariants(self.representatives, self.compose, self.identity)
         )
-        assert math.prod(self.elementary_divisors, start=1) == self.h
 
     # -- internal helpers ------------------------------------------------
     def _principal_b0(self):
@@ -380,7 +363,7 @@ def prime_class(disc: int, p: int) -> PrimeClassInfo:
             form = (p, b, (b * b - disc) // (4 * p))
             status = "ramified" if sym == 0 else "split"
             return PrimeClassInfo(p, status, group.class_of(form))
-    raise AssertionError(f"no form of leading coefficient {p} despite kronecker {sym}")
+    raise ArithmeticInvariantError(f"no form of leading coefficient {p} despite kronecker {sym}")
 
 
 def generated_by_primes_up_to(disc: int, bound: float):
@@ -389,23 +372,18 @@ def generated_by_primes_up_to(disc: int, bound: float):
     Returns (generates, subgroup_order).
     """
     group = class_group(disc)
-    gens = []
-    p = 2
-    while p <= bound:
-        if is_probable_prime(p):
-            info = prime_class(disc, p)
-            if info.form is not None:
-                gens.append(info.form)
-        p += 1
-    closure = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = group.compose(f, g)
-                if h not in closure:
-                    closure.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return len(closure) == group.h, len(closure)
+    sub = {group.identity}
+    for p in default_table().primes_up_to(bound):
+        if len(sub) == group.h:
+            break
+        g = prime_class(disc, int(p)).form
+        if g is None or g in sub:
+            continue
+        # add the cosets H g^k until g^k lands in the union so far, which
+        # first happens when g^k lands in H itself
+        gk, coset = g, list(sub)
+        while gk not in sub:
+            coset = [group.compose(x, g) for x in coset]
+            sub.update(coset)
+            gk = group.compose(gk, g)
+    return len(sub) == group.h, len(sub)

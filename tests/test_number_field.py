@@ -55,7 +55,9 @@ def test_monic_and_degree_guards():
 
 
 def test_irreducibility_certificates():
-    assert "modulo" in NumberField([-1, -1, 0, 1]).irreducibility_certificate
+    # degree <= 3 with no integer root needs no modular certificate
+    assert NumberField([-1, -1, 0, 1]).irreducibility_certificate == "no rational root"
+    assert NumberField([-1, -1, 0, 0, 1]).irreducibility_certificate == "irreducible modulo 2"
     # x^4 + 1 is reducible modulo every prime; the exhaustive search certifies
     K = NumberField([1, 0, 0, 0, 1])
     assert "quadratic" in K.irreducibility_certificate

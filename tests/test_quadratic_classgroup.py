@@ -11,8 +11,11 @@ import math
 
 import pytest
 
-from genbound.arith import kronecker
+from genbound.arith import is_probable_prime, kronecker
+from genbound.errors import ArithmeticInvariantError
 from genbound.quadratic_classgroup import (
+    _abelian_invariants,
+    _compose_raw,
     class_group,
     enumerate_fundamental_discriminants,
     form_disc,
@@ -59,6 +62,8 @@ def test_definite_frozen():
     expect = {
         -3: (1, ()), -4: (1, ()), -20: (2, (2,)), -23: (3, (3,)),
         -47: (5, (5,)), -84: (4, (2, 2)), -163: (1, ()),
+        # the first discriminants of 3-rank 2
+        -3299: (27, (3, 9)), -4027: (9, (3, 3)),
     }
     for d, (h, eldiv) in expect.items():
         G = class_group(d)
@@ -192,6 +197,50 @@ def test_class_of_accepts_unreduced():
         G.class_of((1, 0, 1))  # wrong discriminant
 
 
+def test_torsion_counts_match_elementary_divisors():
+    # |{x : x^m = 1}| = prod gcd(m, n_i) for every m | h, orders counted
+    # by repeated composition
+    for d in enumerate_fundamental_discriminants(1000):
+        G = class_group(d)
+        orders = [G.order_of(f) for f in G.representatives]
+        for m in (m for m in range(1, G.h + 1) if G.h % m == 0):
+            want = math.prod(math.gcd(m, n) for n in G.elementary_divisors)
+            assert sum(m % k == 0 for k in orders) == want, (d, m)
+
+
+def test_compose_matches_dirichlet_united_form():
+    # for coprime leading coefficients a1, a2 > 0 the product class holds
+    # (a1 a2, B, .) with B = b1 (mod 2 a1) and B = b2 (mod 2 a2)
+    checked = 0
+    for d in enumerate_fundamental_discriminants(1000):
+        G = class_group(d)
+        for a1, b1, c1 in G.representatives:
+            for a2, b2, c2 in G.representatives:
+                if a1 <= 0 or a2 <= 0 or math.gcd(a1, a2) != 1:
+                    continue
+                B = b1 + 2 * a1 * ((b2 - b1) // 2 * pow(a1, -1, a2) % a2)
+                united = (a1 * a2, B, (B * B - d) // (4 * a1 * a2))
+                assert G.compose((a1, b1, c1), (a2, b2, c2)) == G.class_of(united)
+                checked += 1
+    assert checked > 1000
+
+
+def test_broken_invariants_raise():
+    # forms of discriminants -20 and -23 have no composition
+    with pytest.raises(ArithmeticInvariantError):
+        _compose_raw((2, 2, 3), (2, 1, 3), -20)
+    # multiplication mod 4 is no group: its 2-torsion count stops at 2 of 4
+    with pytest.raises(ArithmeticInvariantError):
+        _abelian_invariants([0, 1, 2, 3], lambda x, y: x * y % 4, 1)
+    # a "squaring" that kills 3 of 8 elements, then all of them
+    squares = [0, 0, 0, 1, 1, 1, 1, 1]
+    with pytest.raises(ArithmeticInvariantError):
+        _abelian_invariants(list(range(8)), lambda x, y: y if x == 0 else squares[x], 0)
+    # a "composition" that never reaches the identity must not loop
+    with pytest.raises(ArithmeticInvariantError):
+        _abelian_invariants(list(range(9)), lambda x, y: y, 0)
+
+
 def test_indefinite_cycle_structure_60():
     G = class_group(60)
     # eight reduced forms, all with b = 6, in four two-element cycles
@@ -240,3 +289,16 @@ def test_generated_subgroup_order_divides_h():
             ok, order = generated_by_primes_up_to(d, bound)
             assert G.h % order == 0
             assert ok == (order == G.h)
+
+
+def test_generated_matches_brute_force_closure():
+    for d in enumerate_fundamental_discriminants(1000):
+        G = class_group(d)
+        for bound in (1, 2, 3, 5, 10, 30):
+            gens = [prime_class(d, p).form for p in range(2, bound + 1) if is_probable_prime(p)]
+            closure, frontier = {G.identity}, [G.identity]
+            while frontier:
+                new = {G.compose(f, g) for f in frontier for g in gens if g is not None}
+                frontier = list(new - closure)
+                closure |= new
+            assert generated_by_primes_up_to(d, bound) == (len(closure) == G.h, len(closure))
