@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["is_probable_prime", "factorize", "kronecker", "squarefree_part"]
+__all__ = ["is_probable_prime", "factorize", "kronecker"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -63,20 +63,6 @@ def factorize(n: int, trial_limit: int = 1_000_000) -> tuple[dict[int, int], int
         out[r] = out.get(r, 0) + 2
         return out, 1
     return out, n
-
-
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor, sign preserved; raises if n cannot be factored."""
-    if n == 0:
-        raise ValueError("squarefree part of 0 undefined")
-    fac, cofactor = factorize(n)
-    if cofactor != 1:
-        raise ValueError(f"unfactored cofactor {cofactor}")
-    out = 1
-    for p, e in fac.items():
-        if e % 2:
-            out *= p
-    return out if n > 0 else -out
 
 
 def kronecker(a: int, n: int) -> int:

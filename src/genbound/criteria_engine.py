@@ -7,6 +7,14 @@ place of field sums, valid once T >= 73.2), and degree-specialized
 one-variable reductions in S = sqrt(cT) with published rounded constants.
 A passing test certifies that prime ideals of norm <= T generate the
 class group; solvers search (T, c) for the least certifiable T.
+
+The exact and generic criteria are each written once, as a function of
+floats or of numpy arrays (_exact_terms, _generic_terms), and their
+solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact a
+block of the (T, c) grid, minimal_T_generic one bisection step for every
+candidate scale c at once. A numpy margin only decides points clear of
+zero; points near it are decided by the scalar eval_exact or
+eval_generic, so both solvers return what a scalar search would.
 """
 
 import math
@@ -16,7 +24,7 @@ import numpy as np
 
 from .analytic_kernel import alpha, beta, window_denominator
 from .errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
-from .rational_sieve import SCHOENFELD_FLOOR
+from .rational_sieve import SCHOENFELD_FLOOR, TWO_PI, majorant_terms
 
 # floor-mode replacements for alpha/beta: both functions are increasing,
 # so constants below alpha(1000), beta(1000) stay conservative once the
@@ -31,8 +39,6 @@ FLOOR_MODE_MIN_T = 1000.0
 SHORT_POWER_SLOPE = 4.72
 SHORT_POWER_CONST = 29.0
 SHORT_POWER_MIN_CT = 81.0
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,36 @@ def _generic_floor(shape: FieldShape, c: float, floor_mode: bool) -> float:
     return lo
 
 
+def _generic_terms(shape: FieldShape, T, c, floor_mode: bool):
+    """LHS and named RHS terms of the generic criterion at (T, c).
+
+    T and c are floats, evaluated with the math module as alpha and beta
+    are, or numpy arrays that broadcast together. alpha and beta are
+    looked up in this module's namespace, so wrappers placed there see
+    array calls too.
+    """
+    xp = np if isinstance(T, np.ndarray) or isinstance(c, np.ndarray) else math
+    ct = c * T
+    sc = xp.sqrt(c)
+    st = xp.sqrt(T)
+    L = xp.log(ct)
+    n, d2 = shape.degree, shape.delta2
+    a_val = ALPHA_FLOOR if floor_mode else alpha(ct)
+    b_val = BETA_FLOOR if floor_mode else beta(ct)
+    linear, log_sq = majorant_terms(T, c, n)
+    terms = (
+        ("discriminant", 2.0 * sc * shape.log_disc),
+        ("kernel_slack", 2.0 * sc - 1.0),
+        ("short_prime_powers", d2 * (SHORT_POWER_CONST / st - SHORT_POWER_SLOPE * sc)),
+        ("arch_real", -sc * a_val * shape.r1),
+        ("arch_total", -sc * b_val * n),
+        ("window_log", sc * L),
+        ("majorant_linear", linear),
+        ("majorant_log_sq", log_sq),
+    )
+    return c * st, terms
+
+
 def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -> TestEvaluation:
     """Shape-only criterion: field sums replaced by rational majorants.
 
@@ -179,24 +215,8 @@ def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -
         raise PreconditionError(f"T={T:g} below the validity floor for c={c:g}")
     if T > 4.0 * shape.log_disc ** 2 * (1 + 1e-15):
         raise PreconditionError("need T <= 4 log^2 disc to absorb the residual disc term")
-    ct = cfg.ct
-    sc = math.sqrt(c)
-    st = math.sqrt(T)
-    L = cfg.log_window
-    n, d2 = shape.degree, shape.delta2
-    a_val = ALPHA_FLOOR if floor_mode else alpha(ct)
-    b_val = BETA_FLOOR if floor_mode else beta(ct)
-    terms = (
-        ("discriminant", 2.0 * sc * shape.log_disc),
-        ("kernel_slack", 2.0 * sc - 1.0),
-        ("short_prime_powers", d2 * (SHORT_POWER_CONST / st - SHORT_POWER_SLOPE * sc)),
-        ("arch_real", -sc * a_val * shape.r1),
-        ("arch_total", -sc * b_val * n),
-        ("window_log", sc * L),
-        ("majorant_linear", 2.0 * n * (c - 1.0 - math.log(c)) * st),
-        ("majorant_log_sq", n * (c - 1.0) * L * L / TWO_PI),
-    )
-    return TestEvaluation("generic-floor" if floor_mode else "generic", c * st, terms)
+    lhs, terms = _generic_terms(shape, T, c, floor_mode)
+    return TestEvaluation("generic-floor" if floor_mode else "generic", lhs, terms)
 
 
 def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
@@ -280,67 +300,107 @@ def _candidate_scales(degree: int):
     return sorted(cs)
 
 
-def _least_passing_T(shape, c, t_lo, t_cap, floor_mode, path):
-    """Least T in [t_lo, t_cap] passing the generic test at this c, or None.
+# array margins within this share of |lhs| + sum |term| of zero are decided
+# by eval_generic; numpy's log and summation order move a margin by some
+# 1e-15 of that size
+_GENERIC_SLACK = 1e-12
 
-    Binary search assuming margin is increasing in T; a spot check below
-    the found point falls back to a linear scan when that fails.
+
+def _generic_passes(shape: FieldShape, T, c, floor_mode: bool) -> np.ndarray:
+    """eval_generic(...).passed at every point of the broadcast arrays T and c.
+
+    One numpy evaluation decides the points whose margin clears zero by more
+    than _GENERIC_SLACK times the size of the terms; eval_generic decides
+    the others, one point at a time.
     """
-
-    def ok(t):
-        return eval_generic(shape, TestConfig(t, c), floor_mode).passed
-
-    if ok(t_lo):
-        path.append(f"c={c:.6f}: passes at the floor T={t_lo:.6g}")
-        return t_lo
-    if not ok(t_cap):
-        path.append(f"c={c:.6f}: no pass up to T={t_cap:.6g}")
-        return None
-    lo, hi = t_lo, t_cap
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-    # certify the bracket really is the first crossing
-    probes = np.geomspace(t_lo, hi, 10)[1:-1]
-    early = [t for t in probes if ok(t)]
-    if early:
-        grid = np.linspace(t_lo, hi, 513)
-        for t in grid:
-            if ok(t):
-                path.append(f"c={c:.6f}: linear scan, least T={t:.6g}")
-                return float(t)
-    path.append(f"c={c:.6f}: bisection, least T={hi:.6g}")
-    return hi
+    lhs, terms = _generic_terms(shape, T, c, floor_mode)
+    margin, size = lhs, np.abs(lhs)
+    for _, v in terms:
+        margin = margin - v
+        size = size + np.abs(v)
+    passed = margin > 0.0
+    near = np.abs(margin) <= _GENERIC_SLACK * size
+    if np.count_nonzero(near):
+        T, c = np.broadcast_arrays(T, c)
+        for i in zip(*np.nonzero(near)):
+            passed[i] = eval_generic(shape, TestConfig(float(T[i]), float(c[i])), floor_mode).passed
+    return passed
 
 
 def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundReport:
     """Least certifiable norm bound under the generic test, over a c-grid.
 
+    For each scale c of _candidate_scales, the least passing T in
+    [floor(c), 4 log^2 disc] is found as follows, with margin assumed
+    increasing in T: T = floor if it passes, none if the cap fails, else
+    bisection to a relative width of 1e-9 (at most 80 steps). Eight
+    geometric probes between the floor and the bisected point then check
+    it is the first crossing; if one passes, a 513-point linear scan takes
+    the least passing T instead. The smallest T wins, ties going to the
+    smaller c. All scales run in lockstep: the floor test, the cap test,
+    each bisection step and the probes are one numpy evaluation each over
+    the scales still open, and points near zero margin are decided by
+    eval_generic (_generic_passes), so the result is the scalar search's.
+    The winner is re-checked by eval_generic, whose evaluation is reported.
+
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes.
     """
     t_cap = 4.0 * shape.log_disc ** 2
-    path = []
-    best = None
-    for c in _candidate_scales(shape.degree):
-        t_lo = _generic_floor(shape, c, floor_mode)
-        if t_lo > t_cap:
-            path.append(f"c={c:.6f}: floor {t_lo:.6g} above cap {t_cap:.6g}")
+    scales = _candidate_scales(shape.degree)
+    floors = [_generic_floor(shape, c, floor_mode) for c in scales]
+    cs, t_lo = np.array(scales), np.array(floors)
+    best = np.full(cs.size, np.inf)
+    path = [f"c={c:.6f}: floor {lo:.6g} above cap {t_cap:.6g}" for c, lo in zip(scales, floors)]
+
+    idx = np.flatnonzero(t_lo <= t_cap)
+    at_floor = _generic_passes(shape, t_lo[idx], cs[idx], floor_mode)
+    for k in idx[at_floor].tolist():
+        best[k] = floors[k]
+        path[k] = f"c={scales[k]:.6f}: passes at the floor T={floors[k]:.6g}"
+    idx = idx[~at_floor]
+    at_cap = _generic_passes(shape, t_cap, cs[idx], floor_mode)
+    for k in idx[~at_cap].tolist():
+        path[k] = f"c={scales[k]:.6f}: no pass up to T={t_cap:.6g}"
+
+    # bisect every bracketed scale in lockstep; a scale leaves once narrow
+    idx = idx[at_cap]
+    rows, c_open, lo, hi = idx, cs[idx], t_lo[idx], np.full(idx.size, t_cap)
+    for _ in range(80):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        ok = _generic_passes(shape, mid, c_open, floor_mode)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+        narrow = hi - lo <= 1e-9 * np.maximum(1.0, hi)
+        if np.count_nonzero(narrow):
+            best[rows[narrow]] = hi[narrow]
+            wide = ~narrow
+            rows, c_open, lo, hi = rows[wide], c_open[wide], lo[wide], hi[wide]
+    best[rows] = hi
+
+    # certify each bracket really is the first crossing
+    hi = best[idx]
+    probes = np.geomspace(t_lo[idx], hi, 10, axis=1)[:, 1:-1]
+    early = _generic_passes(shape, probes, cs[idx, None], floor_mode).any(axis=1)
+    for k, h, e in zip(idx.tolist(), hi.tolist(), early.tolist()):
+        path[k] = f"c={scales[k]:.6f}: bisection, least T={h:.6g}"
+        if not e:
             continue
-        t = _least_passing_T(shape, c, t_lo, t_cap, floor_mode, path)
-        if t is not None and (best is None or t < best[0]):
-            best = (t, c)
-    if best is None:
+        grid = np.linspace(floors[k], h, 513)
+        passed = _generic_passes(shape, grid, scales[k], floor_mode)
+        if passed.any():
+            best[k] = t = float(grid[np.argmax(passed)])
+            path[k] = f"c={scales[k]:.6f}: linear scan, least T={t:.6g}"
+
+    k = int(np.argmin(best))
+    if best[k] == np.inf:
         raise NoBoundCertifiedError(
             f"no bound below 4 log^2 disc certified for degree {shape.degree}, "
             f"log disc {shape.log_disc:g}"
         )
-    t, c = best
+    t, c = float(best[k]), float(cs[k])
     ev = eval_generic(shape, TestConfig(t, c), floor_mode)
     if not ev.passed:
         raise NoBoundCertifiedError(f"least T={t:g} found at c={c:g} fails on re-evaluation")

@@ -325,8 +325,13 @@ class ClassGroupDescription:
         return self._wide_of[self._narrow_class(form)]
 
     def compose(self, f, g) -> tuple:
-        f = self.class_of(f)
-        g = self.class_of(g)
+        """Wide class of the product; a representative is used as it is, any
+        other form of this discriminant is canonicalised by class_of first."""
+        # every wide representative is a key of _wide_of that maps to itself
+        if self._wide_of.get(f) != f:
+            f = self.class_of(f)
+        if self._wide_of.get(g) != g:
+            g = self.class_of(g)
         return self._wide_of[self._narrow_compose(f, g)]
 
     def inverse(self, f) -> tuple:

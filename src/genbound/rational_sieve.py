@@ -38,6 +38,7 @@ __all__ = [
     "SchoenfeldReport",
     "chebyshev_psi",
     "default_table",
+    "majorant_terms",
     "schoenfeld_check",
     "weighted_lambda_sum",
     "weighted_sum_majorant",
@@ -49,6 +50,8 @@ MAX_LIMIT = 10_000_000
 
 # smallest T for which the sqrt-accurate psi bound is available
 SCHOENFELD_FLOOR = 73.2
+
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -225,21 +228,32 @@ class SieveTable:
         return SchoenfeldReport(float(margins[k]), int(norms[lo + k]), int(hi - lo))
 
 
+def majorant_terms(T, c, n: int):
+    """The two terms of the degree-n majorant over (T, cT], per sqrt(T)/2.
+
+    2n(c - 1 - log c) sqrt(T) and n(c - 1) log^2(cT) / (2 pi): the
+    majorant_linear and majorant_log_sq terms of the generic criterion.
+    T and c are floats, evaluated with the math module, or numpy arrays
+    that broadcast together. No validity check: see weighted_sum_majorant.
+    """
+    xp = np if isinstance(T, np.ndarray) or isinstance(c, np.ndarray) else math
+    L = xp.log(c * T)
+    return 2.0 * n * (c - 1.0 - xp.log(c)) * xp.sqrt(T), n * (c - 1.0) * L * L / TWO_PI
+
+
 def weighted_sum_majorant(T: float, c: float, n: int) -> float:
     """Closed-form majorant of the degree-n weighted prime-ideal sum over (T, cT].
 
-    n(c-1-log c) T + n (c-1)/(4 pi) sqrt(T) log^2(cT); valid for c >= 1 and
-    T >= 73.2 (the floor below which the sqrt-accurate psi bound is not
-    available).
+    n(c-1-log c) T + n (c-1)/(4 pi) sqrt(T) log^2(cT), the sum of
+    majorant_terms times sqrt(T)/2; valid for c >= 1 and T >= 73.2 (the
+    floor below which the sqrt-accurate psi bound is not available).
     """
     if c < 1.0:
         raise PreconditionError("majorant needs c >= 1")
     if T < SCHOENFELD_FLOOR:
         raise PreconditionError(f"majorant needs T >= {SCHOENFELD_FLOOR}")
-    h = c - 1.0
-    main = n * (h - math.log1p(h)) * T
-    err = n * h / (4.0 * math.pi) * math.sqrt(T) * math.log(c * T) ** 2
-    return main + err
+    linear, log_sq = majorant_terms(T, c, n)
+    return 0.5 * math.sqrt(T) * (linear + log_sq)
 
 
 # ----------------------------------------------------------------------

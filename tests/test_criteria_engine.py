@@ -1,10 +1,12 @@
-"""Exact criterion and its solver, against a scalar fsum reference.
+"""Exact and generic criteria and their solvers, against scalar references.
 
-The reference scans (T, c) in the solver's order, one point at a time, and
-takes every field sum by math.fsum over ideal_lambda_stream; the solver
-evaluates whole blocks of the grid from prefix sums. Both must pick the
-same (T, c), and the prefix sums must match the fsum values on random
-windows.
+The exact reference scans (T, c) in the solver's order, one point at a
+time, and takes every field sum by math.fsum over ideal_lambda_stream; the
+solver evaluates whole blocks of the grid from prefix sums. Both must pick
+the same (T, c), and the prefix sums must match the fsum values on random
+windows. The generic reference searches each scale c on its own with one
+eval_generic call per point; the solver runs all scales in lockstep on
+numpy arrays, and both must give the same (T, c) and evaluation.
 """
 
 import bisect
@@ -14,21 +16,26 @@ import random
 import numpy as np
 import pytest
 
+from genbound import criteria_engine
 from genbound.analytic_kernel import alpha, beta
 from genbound.criteria_engine import (
     _EXACT_SCALES,
     FieldShape,
     TestConfig,
     TestEvaluation,
+    _candidate_scales,
+    _generic_floor,
+    _generic_terms,
     eval_degree_specialized,
     eval_exact,
+    eval_generic,
     minimal_T_exact,
     minimal_T_generic,
 )
 from genbound.errors import NoBoundCertifiedError, PreconditionError
 from genbound.number_field import NumberField, load_cubic_fixtures
 from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
-from genbound.rational_sieve import default_table
+from genbound.rational_sieve import default_table, majorant_terms, weighted_sum_majorant
 
 # a difference of prefix sums errs by a few unit roundoffs of the prefix
 # sums it cancels; this bound, relative to their size, leaves room for
@@ -175,9 +182,163 @@ def test_array_queries_match_scalar_queries():
             assert short[i, j] == powers.short_sum(cT[i, j])
 
 
+# ----------------------------------------------------------------------
+# generic criterion and its lockstep solver
+# ----------------------------------------------------------------------
+def reference_minimal_T_generic(shape, floor_mode):
+    """(T, c) of the scalar search, one eval_generic call per probed point.
+
+    Per c: the floor, the cap, a bisection, eight geometric probes below
+    the bisected point and, if one passes, a 513-point linear scan; the
+    least T wins, ties to the smaller c.
+    """
+
+    def ok(t, c):
+        return eval_generic(shape, TestConfig(t, c), floor_mode).passed
+
+    t_cap = 4.0 * shape.log_disc ** 2
+    best = None
+    for c in _candidate_scales(shape.degree):
+        t_lo = _generic_floor(shape, c, floor_mode)
+        if t_lo > t_cap:
+            continue
+        if ok(t_lo, c):
+            t = t_lo
+        elif not ok(t_cap, c):
+            continue
+        else:
+            lo, hi = t_lo, t_cap
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if ok(mid, c):
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo <= 1e-9 * max(1.0, hi):
+                    break
+            t = hi
+            if any(ok(p, c) for p in np.geomspace(t_lo, hi, 10)[1:-1]):
+                t = next((float(g) for g in np.linspace(t_lo, hi, 513) if ok(g, c)), hi)
+        if best is None or t < best[0]:
+            best = (t, c)
+    if best is None:
+        raise NoBoundCertifiedError("no c passes")
+    return best
+
+
+def signatures(degrees):
+    return [(n, r1) for n in degrees for r1 in range(n % 2, n + 1, 2)]
+
+
+# log disc per signature: below and above the floor-mode guard 4 x^2 >= 1000,
+# and up to e^12.2, beyond every degree's threshold
+GENERIC_LOG_DISCS = (5.0, 14.0, 60.0, 900.0, 2.0e5)
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_generic_solver_matches_scalar_search(degree):
+    for n, r1 in signatures([degree]):
+        for x in GENERIC_LOG_DISCS:
+            shape = FieldShape(n, r1, x)
+            for floor_mode in (False, True):
+                try:
+                    want = reference_minimal_T_generic(shape, floor_mode)
+                except NoBoundCertifiedError:
+                    with pytest.raises(NoBoundCertifiedError):
+                        minimal_T_generic(shape, floor_mode)
+                    continue
+                report = minimal_T_generic(shape, floor_mode)
+                assert (report.T_bound, report.c_used) == want, (shape, floor_mode)
+                ev = eval_generic(shape, TestConfig(*want), floor_mode)
+                assert report.margin == ev.margin and report.evaluation == ev
+
+
+def test_generic_solver_anchors():
+    report = minimal_T_generic(FieldShape(2, 0, 30.0))
+    assert (report.T_bound, report.c_used) == (3093.9314443198123, 1.03125)
+    assert report.criterion_id == "generic" and report.evaluation.passed
+    assert minimal_T_generic(FieldShape(2, 2, 30.0)).T_bound == 2824.170784304088
+
+
 def test_generic_scale_is_plain_float():
     report = minimal_T_generic(FieldShape(2, 0, 20.0))
     assert type(report.c_used) is float and report.evaluation.passed
+    assert type(report.T_bound) is float
+
+
+def test_generic_solver_confirms_near_zero_margins(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_generic(*args, **kwargs)
+
+    monkeypatch.setattr(criteria_engine, "eval_generic", counted)
+    shape = FieldShape(4, 2, 30.0)
+    report = minimal_T_generic(shape)
+    # one bisection midpoint lies within 1e-14 of the terms' size of zero,
+    # so the numpy margin cannot decide it; the last call is the re-check
+    assert len(calls) >= 2
+    monkeypatch.undo()
+    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+
+
+def test_generic_solver_linear_scan(monkeypatch):
+    # a bump in alpha makes the margin pass on a band of small T and fail
+    # above it, so an early probe passes and the linear scan takes over
+    def bumped(y):
+        return alpha(y) + 100.0 * ((250.0 < y) & (y < 400.0))
+
+    monkeypatch.setattr(criteria_engine, "alpha", bumped)
+    shape = FieldShape(2, 2, 30.0)
+    report = minimal_T_generic(shape)
+    assert any("linear scan" in step for step in report.solver_path)
+    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+    assert report.T_bound < 400.0
+
+
+def test_generic_floor_above_cap():
+    # cap 4 * 4^2 = 64 lies below the 73.2 floor at every c
+    with pytest.raises(NoBoundCertifiedError):
+        minimal_T_generic(FieldShape(2, 0, 4.0))
+
+
+def test_eval_generic_preconditions():
+    shape = FieldShape(3, 1, 30.0)
+    with pytest.raises(PreconditionError, match="below the validity floor"):
+        eval_generic(shape, TestConfig(73.0, 1.1))
+    with pytest.raises(PreconditionError, match="below the validity floor"):
+        eval_generic(shape, TestConfig(999.0, 1.1), floor_mode=True)
+    with pytest.raises(PreconditionError, match="4 log"):
+        eval_generic(shape, TestConfig(3600.5, 1.1))
+    assert eval_generic(shape, TestConfig(3600.0, 1.1)).criterion_id == "generic"
+
+
+def test_generic_terms_on_arrays_match_scalars():
+    shape = FieldShape(5, 1, 400.0)
+    cs = np.array(_candidate_scales(5))
+    T = np.geomspace(100.0, 4.0 * 400.0 ** 2, 7)[:, None]
+    for floor_mode in (False, True):
+        lhs, terms = _generic_terms(shape, np.maximum(T, 1000.0), cs, floor_mode)
+        for i, j in ((0, 0), (3, 17), (6, cs.size - 1)):
+            t, c = max(float(T[i, 0]), 1000.0), float(cs[j])
+            ev = eval_generic(shape, TestConfig(t, c), floor_mode)
+            size = abs(ev.lhs) + sum(abs(v) for _, v in ev.rhs_terms)
+            assert abs(lhs[i, j] - ev.lhs) <= 1e-15 * size
+            for (name, v), (want_name, want) in zip(terms, ev.rhs_terms):
+                assert name == want_name
+                assert abs(np.broadcast_to(v, lhs.shape)[i, j] - want) <= 1e-14 * size
+
+
+def test_generic_majorant_terms_come_from_the_sieve():
+    shape = FieldShape(4, 0, 50.0)
+    ev = eval_generic(shape, TestConfig(2000.0, 1.2))
+    terms = dict(ev.rhs_terms)
+    linear, log_sq = majorant_terms(2000.0, 1.2, 4)
+    assert (terms["majorant_linear"], terms["majorant_log_sq"]) == (linear, log_sq)
+    # the sieve's majorant is their sum per 2 / sqrt(T)
+    assert weighted_sum_majorant(2000.0, 1.2, 4) == pytest.approx(
+        0.5 * math.sqrt(2000.0) * (linear + log_sq), rel=1e-15)
 
 
 # ----------------------------------------------------------------------
