@@ -4,11 +4,17 @@ Forms are (a, b, c) triples of discriminant d = b^2 - 4ac, d a fundamental
 discriminant. Negative discriminants use the classical reduced-form
 normal form; positive ones use reduction cycles, with the ordinary (wide)
 group obtained from the narrow one by quotienting out the class of the
-norm -1 template. Composition is Gauss-Dirichlet composition in the form
-of Cohen, GTM 138, Alg. 5.4.7: two extended gcds and one step modulo a
-leading coefficient. The elementary divisors come from p-torsion counts
-for each prime p dividing h, and the generation check grows the subgroup
-one prime class at a time. All of it is exact integer arithmetic.
+norm -1 template. The reduced forms are enumerated in O(sqrt|d|) steps
+from modular square roots: for each leading coefficient a (1 <= a <=
+sqrt(|d|/3) when d < 0, 1 <= |a| <= sqrt(d) when d > 0) the classes b mod
+2a with b^2 = d (mod 4a) are the roots of d modulo each prime power
+dividing a, joined by CRT; each class gives at most one reduced b, in
+(-a, a] for d < 0 and in (|sqrt d - 2|a||, sqrt d) for d > 0. Composition
+is Gauss-Dirichlet composition in the form of Cohen, GTM 138, Alg. 5.4.7:
+two extended gcds and one step modulo a leading coefficient. The
+elementary divisors come from p-torsion counts for each prime p dividing
+h, and the generation check grows the subgroup one prime class at a time.
+All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .arith import factorize, is_probable_prime, kronecker
 from .errors import ArithmeticInvariantError
@@ -54,9 +62,23 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 def enumerate_fundamental_discriminants(bound: int):
-    """All fundamental discriminants with |d| < bound, sorted by |d| then sign."""
-    out = [d for d in range(-bound + 1, bound) if is_fundamental_discriminant(d)]
-    return sorted(out, key=lambda d: (abs(d), d))
+    """All fundamental discriminants with |d| < bound, sorted by |d| then sign.
+
+    A squarefree sieve over n = |d| < bound, then the mod-4 rules: d = 1 (mod 4)
+    squarefree, or d = 4m with m = 2, 3 (mod 4) squarefree.
+    """
+    n = np.arange(max(bound, 1))
+    squarefree = np.ones(n.size, dtype=bool)
+    squarefree[0] = False
+    for p in default_table().primes_up_to(math.isqrt(n.size - 1)).tolist():
+        squarefree[p * p :: p * p] = False
+    r, m = n % 4, n // 4
+    four_m = (r == 0) & squarefree[m]
+    positive = ((r == 1) & squarefree & (n > 1)) | (four_m & (m % 4 >= 2))
+    # -n = 1 (mod 4) when n = 3 (mod 4); -m = 2, 3 (mod 4) when m = 2, 1 (mod 4)
+    negative = ((r == 3) & squarefree) | (four_m & ((m % 4 == 1) | (m % 4 == 2)))
+    keep = np.stack([negative, positive], axis=1)
+    return np.stack([-n, n], axis=1)[keep].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +135,7 @@ def _reduce_indefinite(form, d, sq):
         if _is_reduced_indefinite(form, d, sq):
             return form
         form = _rho(form, d, sq)
-    raise RuntimeError(f"reduction did not terminate for {form}, d={d}")
+    raise ArithmeticInvariantError(f"reduction did not terminate for {form}, d={d}")
 
 
 def _cycle(form, d, sq):
@@ -126,42 +148,124 @@ def _cycle(form, d, sq):
     return out
 
 
+def _prime_factor_table(n):
+    """pf[m] is a prime factor of m for 2 <= m <= n (pf[0] and pf[1] unused)."""
+    pf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        # a composite p was already written by a prime q <= sqrt(p)
+        if pf[p] == p:
+            pf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return pf
+
+
+def _crt(rs, m, ss, n):
+    """Every x mod m*n with x = r (mod m) and x = s (mod n), r in rs, s in ss;
+    gcd(m, n) = 1."""
+    if not rs or not ss:
+        return []
+    k = pow(m, -1, n)
+    return [r + m * ((s - r) * k % n) for r in rs for s in ss]
+
+
+def _sqrt_mod_prime(d, p):
+    """A square root of the quadratic residue d modulo the odd prime p (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    t, r = pow(d, q, p), pow(d, (q + 1) // 2, p)
+    if t == 1:
+        return r
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _square_roots(d, pf):
+    """For the fundamental discriminant d, the function a -> every b in
+    [0, 2a) with b^2 = d (mod 4a). pf[k] is a prime factor of k for every
+    k > 1 that divides the odd part of a.
+
+    b mod 2a splits by CRT into b mod m, a root of d modulo the odd part m
+    of a, and b mod 2^(e+1) for 2^e || a, a residue whose square is d mod
+    2^(e+2). The roots modulo m join the roots modulo each prime power
+    p^k || m (Tonelli-Shanks, then Newton lifting; an odd p dividing d
+    divides it once, so only k = 1 has a root there) and are memoised on
+    m; the 2-part lifts one bit per e.
+    """
+    odd = {1: [0]}
+    two = [[d % 2]]  # two[e]: the residues mod 2^(e+1)
+
+    def odd_roots(m):
+        roots = odd.get(m)
+        if roots is None:
+            p = q = pf[m]
+            while m // q % p == 0:
+                q *= p
+            if q < m:
+                roots = _crt(odd_roots(q), q, odd_roots(m // q), m // q)
+            elif d % p == 0:
+                roots = [0] if q == p else []
+            elif pow(d, (p - 1) // 2, p) != 1:
+                roots = []
+            else:
+                r, n = _sqrt_mod_prime(d % p, p), p
+                while n < q:
+                    n *= p
+                    r = (r - (r * r - d) * pow(2 * r, -1, n)) % n
+                roots = [r, q - r]
+            odd[m] = roots
+        return roots
+
+    def roots(a):
+        e = (a & -a).bit_length() - 1
+        while len(two) <= e:
+            n = 2 << len(two)
+            two.append([t for s in two[-1] for t in (s, s + n // 2) if (t * t - d) % (2 * n) == 0])
+        return _crt(odd_roots(a >> e), a >> e, two[e], 2 << e)
+
+    return roots
+
+
 def _enumerate_reduced(d):
-    if d < 0:
-        out = []
-        amax = math.isqrt(-d // 3)
-        for a in range(1, amax + 1):
-            for b in range(-a + 1, a + 1):
-                if (b - d) % 2:
-                    continue
-                num = b * b - d
-                if num % (4 * a):
-                    continue
-                c = num // (4 * a)
-                if c < a:
-                    continue
-                if a == c and b < 0:
-                    continue
-                out.append((a, b, c))
-        return out
-    sq = math.isqrt(d)
+    """Every reduced form of the fundamental discriminant d, sorted.
+
+    Leading coefficients run over 1 <= a <= sqrt(|d|/3) for d < 0 and over
+    1 <= |a| <= sqrt(d) for d > 0; each class b mod 2a with b^2 = d (mod 4a)
+    gives at most one reduced form per sign of a, read off below.
+    """
+    amax = math.isqrt(-d // 3) if d < 0 else math.isqrt(d)
+    roots = _square_roots(d, _prime_factor_table(amax))
     out = []
-    for b in range(1, sq + 1):
-        if (b - d) % 2:
-            continue
-        N = (d - b * b) // 4
-        divs = set()
-        t = 1
-        while t * t <= N:
-            if N % t == 0:
-                divs.update({t, N // t})
-            t += 1
-        for ap in sorted(divs):
-            for a in (ap, -ap):
+    if d < 0:
+        for a in range(1, amax + 1):
+            for b in roots(a):
+                if b > a:
+                    b -= 2 * a
                 c = (b * b - d) // (4 * a)
-                if _is_reduced_indefinite((a, b, c), d, sq):
+                # b in (-a, a], c >= a, and b >= 0 when a = c
+                if c > a or (c == a and b >= 0):
                     out.append((a, b, c))
-    return out
+        return sorted(out)
+    sq = amax
+    for a in range(1, sq + 1):
+        # the reduced b lie in (|sqrt d - 2a|, sqrt d), an interval no longer
+        # than 2a, so each root class meets it at most once: at its least
+        # member above the lower end, which is lo - 1 < |sqrt d - 2a| < lo
+        lo = sq - 2 * a + 1 if 2 * a <= sq else 2 * a - sq
+        for b0 in roots(a):
+            b = lo + (b0 - lo) % (2 * a)
+            c = (b * b - d) // (4 * a)
+            if _is_reduced_indefinite((a, b, c), d, sq):
+                out += [(a, b, c), (-a, b, -c)]
+    return sorted(out)
 
 
 # ----------------------------------------------------------------------
@@ -362,13 +466,15 @@ def prime_class(disc: int, p: int) -> PrimeClassInfo:
     sym = kronecker(disc, p)
     if sym == -1:
         return PrimeClassInfo(p, "inert", None)
-    group = class_group(disc)
-    for b in range(2 * p):
-        if (b * b - disc) % (4 * p) == 0:
-            form = (p, b, (b * b - disc) // (4 * p))
-            status = "ramified" if sym == 0 else "split"
-            return PrimeClassInfo(p, status, group.class_of(form))
-    raise ArithmeticInvariantError(f"no form of leading coefficient {p} despite kronecker {sym}")
+    # the least root b in [0, 2p); for a split p the other root, 2p - b,
+    # gives the inverse class
+    roots = _square_roots(disc, {p: p})(p)
+    if not roots:
+        raise ArithmeticInvariantError(f"no form of leading coefficient {p} despite kronecker {sym}")
+    b = min(roots)
+    form = (p, b, (b * b - disc) // (4 * p))
+    status = "ramified" if sym == 0 else "split"
+    return PrimeClassInfo(p, status, class_group(disc).class_of(form))
 
 
 def generated_by_primes_up_to(disc: int, bound: float):

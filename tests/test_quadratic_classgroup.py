@@ -8,14 +8,22 @@ frozen table entries with the narrow/wide distinction worked by hand.
 """
 
 import math
+import random
 
 import pytest
 
+from genbound import quadratic_classgroup
 from genbound.arith import is_probable_prime, kronecker
 from genbound.errors import ArithmeticInvariantError
 from genbound.quadratic_classgroup import (
+    PrimeClassInfo,
     _abelian_invariants,
     _compose_raw,
+    _enumerate_reduced,
+    _prime_factor_table,
+    _reduce_indefinite,
+    _sqrt_mod_prime,
+    _square_roots,
     class_group,
     enumerate_fundamental_discriminants,
     form_disc,
@@ -23,6 +31,7 @@ from genbound.quadratic_classgroup import (
     is_fundamental_discriminant,
     prime_class,
 )
+from reduced_forms_scan import enumerate_reduced_by_scan
 
 
 def dirichlet_h(d):
@@ -53,6 +62,70 @@ def test_enumerate_fundamental():
     assert fds[:12] == [-3, -4, 5, -7, -8, 8, -11, 12, 13, -15, 17, -19]
     assert all(is_fundamental_discriminant(d) for d in fds)
     assert all(abs(d) < 80 for d in fds)
+
+
+def test_enumerate_fundamental_matches_definition():
+    # the sieve against is_fundamental_discriminant, order included
+    def by_definition(lo, hi):
+        out = [d for d in range(-hi + 1, hi) if lo <= abs(d) and is_fundamental_discriminant(d)]
+        return sorted(out, key=lambda d: (abs(d), d))
+
+    for bound in (-1, 0, 1, 2, 5, 80, 3000):
+        assert enumerate_fundamental_discriminants(bound) == by_definition(0, bound), bound
+    big = enumerate_fundamental_discriminants(100_000)
+    assert len(big) == 60_786
+    assert [d for d in big if abs(d) >= 98_000] == by_definition(98_000, 100_000)
+    assert len(enumerate_fundamental_discriminants(1_000_000)) == 607_925
+
+
+# ----------------------------------------------------------------------
+# reduced forms
+# ----------------------------------------------------------------------
+def test_enumeration_matches_scan_small():
+    for d in enumerate_fundamental_discriminants(3000):
+        assert _enumerate_reduced(d) == sorted(enumerate_reduced_by_scan(d)), d
+
+
+def test_enumeration_matches_scan_seeded():
+    rng = random.Random(7)
+    for sign in (-1, 1):
+        picked = set()
+        while len(picked) < 20:
+            d = sign * rng.randrange(10_000, 200_000)
+            if is_fundamental_discriminant(d):
+                picked.add(d)
+        for d in sorted(picked):
+            assert _enumerate_reduced(d) == sorted(enumerate_reduced_by_scan(d)), d
+
+
+def test_enumeration_frozen_counts():
+    assert len(_enumerate_reduced(-9_999_991)) == 1_715
+    assert len(_enumerate_reduced(9_999_993)) == 3_996
+
+
+def test_square_roots_match_brute_force():
+    # d = 1 and 5 (mod 8), d = 0 (mod 4) with d/4 = 2 and 3 (mod 4), and
+    # discriminants divisible by every odd prime up to 13 or 11
+    discs = (-7, 17, -9_999_991, -3, 13, 9_999_993, -4, 8, 12, -20, -15_015, 4_620)
+    pf = _prime_factor_table(300)
+    for d in discs:
+        assert is_fundamental_discriminant(d), d
+        roots = _square_roots(d, pf)
+        for a in range(1, 301):
+            want = [b for b in range(2 * a) if (b * b - d) % (4 * a) == 0]
+            assert sorted(roots(a)) == want, (d, a)
+
+
+def test_sqrt_mod_prime_every_residue():
+    for p in (q for q in range(3, 600, 2) if is_probable_prime(q)):
+        for n in {x * x % p for x in range(1, p)}:
+            assert _sqrt_mod_prime(n, p) ** 2 % p == n, (n, p)
+
+
+def test_prime_factor_table():
+    pf = _prime_factor_table(2000)
+    for m in range(2, 2001):
+        assert m % pf[m] == 0 and is_probable_prime(pf[m]), m
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +314,12 @@ def test_broken_invariants_raise():
         _abelian_invariants(list(range(9)), lambda x, y: y, 0)
 
 
+def test_reduce_indefinite_raises_when_stuck(monkeypatch):
+    monkeypatch.setattr(quadratic_classgroup, "_is_reduced_indefinite", lambda form, d, sq: False)
+    with pytest.raises(ArithmeticInvariantError):
+        _reduce_indefinite((1, 1, -1), 5, 2)
+
+
 def test_indefinite_cycle_structure_60():
     G = class_group(60)
     # eight reduced forms, all with b = 6, in four two-element cycles
@@ -262,6 +341,26 @@ def test_prime_class_cases():
     assert prime_class(-20, 29).form == (1, 0, 5)  # 29 = 9 + 20 splits principally
     with pytest.raises(ValueError):
         prime_class(-20, 6)
+
+
+def test_prime_class_matches_scan():
+    # the form of the least b in [0, 2p) with b^2 = d (mod 4p), found by a
+    # scan of [0, 2p) tabulated once per p: least[p][b^2 mod 4p] = b
+    least = {}
+    for p in (p for p in range(2, 500) if is_probable_prime(p)):
+        least[p] = {}
+        for b in range(2 * p):
+            least[p].setdefault(b * b % (4 * p), b)
+    for d in enumerate_fundamental_discriminants(1000):
+        G = class_group(d)
+        for p in least:
+            b = least[p].get(d % (4 * p))
+            if b is None:
+                want = PrimeClassInfo(p, "inert", None)
+            else:
+                status = "ramified" if d % p == 0 else "split"
+                want = PrimeClassInfo(p, status, G.class_of((p, b, (b * b - d) // (4 * p))))
+            assert prime_class(d, p) == want, (d, p)
 
 
 def test_prime_class_form_has_right_disc():
