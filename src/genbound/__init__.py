@@ -4,16 +4,20 @@ The package evaluates explicit-formula criteria which, under GRH, certify
 that the prime ideals of norm at most T generate the class group of a
 number field, with T of size (4 - eps) log^2 Delta. Submodules:
 
-- analytic_kernel: closed-form kernel algebra (convolutions, archimedean
-  integrals, the alpha/beta coefficients, the window objective f(c, n))
+- analytic_kernel: the archimedean coefficients alpha and beta, and the
+  window denominator c - 2n(c - 1 - log c)
 - rational_sieve: primes, Chebyshev psi, weighted von Mangoldt sums and
   their square-root-accurate majorant
+- arith: primality, factoring and the Kronecker symbol
+- polynomials: exact polynomial arithmetic over Z and GF(p): resultants,
+  discriminants, Sturm chains, factor shapes mod p, Dedekind's criterion
 - number_field: defining polynomials, discriminants, prime splitting,
-  ideal-norm streams, small-field principality search
+  ideal-norm streams and their windowed sums
 - quadratic_classgroup: binary quadratic form class groups and the
   generated-by-small-primes test
 - criteria_engine: the exact and generic criteria, minimal-T solvers and
   discriminant thresholds
+- errors: the exception classes, one per failure mode a caller handles
 """
 
 __version__ = "0.1.0"

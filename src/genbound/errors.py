@@ -39,7 +39,12 @@ class SplittingUnavailableError(GenboundError):
 
 
 class UnsupportedRepresentationError(GenboundError):
-    """An ideal was handed to an operation that needs a degree-1 representation."""
+    """A defining polynomial cannot present a number field.
+
+    Raised by number_field.parse_poly for empty input or a coefficient that
+    is not an integer, and by NumberField for a polynomial that is not
+    monic or has degree below 2.
+    """
 
 
 class IrreducibilityError(GenboundError):

@@ -3,10 +3,9 @@
 Supplies exactly what the generation criteria consume: degree and signature,
 a certified field discriminant where the index can be ruled out prime by
 prime, splitting types of rational primes, the stream of prime-ideal powers
-with von Mangoldt weights, windowed weighted sums over that stream, the
-Minkowski bound, and a brute-force principality search for small prime
-ideals. Splitting at a prime whose index status cannot be certified raises
-rather than guessing.
+with von Mangoldt weights, windowed weighted sums over that stream, and
+the Minkowski bound. Splitting at a prime whose index status cannot be
+certified raises rather than guessing.
 
 The stream is held as two prefix-sum indexes (rational_sieve.NormIndex):
 one over the prime ideals, for the window sum over (T, cT], and one over
@@ -18,7 +17,6 @@ unit roundoffs times the prefix sums at the upper bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -39,14 +37,12 @@ from .polynomials import (
     gf_normalize,
     poly_eval,
     poly_trim,
-    resultant,
     signature,
 )
 from .rational_sieve import NormIndex, WeightedSum, default_table
 
 __all__ = [
     "StreamEntry",
-    "PrincipalityWitness",
     "CubicFixture",
     "NumberField",
     "parse_poly",
@@ -70,14 +66,6 @@ class StreamEntry:
     power: int
     norm: int
     weight: float
-
-
-@dataclass(frozen=True)
-class PrincipalityWitness:
-    """Element (as polynomial in the generator) whose norm matches the target."""
-
-    coeffs: tuple
-    norm: int
 
 
 @dataclass(frozen=True)
@@ -367,7 +355,7 @@ class NumberField:
         return float(powers.psi(x))
 
     # ------------------------------------------------------------------
-    # geometry and principality
+    # geometry
     # ------------------------------------------------------------------
     def minkowski_bound(self) -> float:
         n = self.degree
@@ -376,35 +364,6 @@ class NumberField:
             * (4.0 / math.pi) ** self.r2
             * math.sqrt(abs(self.field_disc))
         )
-
-    def element_norm(self, coeffs) -> int:
-        """Norm of the element with the given polynomial coefficients in the generator."""
-        g = poly_trim(list(coeffs))
-        if not g:
-            return 0
-        return resultant(list(self.coeffs), g)
-
-    def principality_search(self, p, root_mod_p, norm_target, height_bound):
-        """Search for a generator of the degree-1 prime (p, theta - root).
-
-        Enumerates elements with coefficients bounded by height_bound that lie
-        in the ideal (value at the root vanishes mod p) and have norm of
-        absolute value norm_target. Returns a witness or None.
-        """
-        if poly_eval(list(self.coeffs), root_mod_p) % p != 0:
-            raise ValueError(f"{root_mod_p} is not a root of the polynomial mod {p}")
-        n = self.degree
-        H = int(height_bound)
-        powers = [pow(root_mod_p, i, p) for i in range(n)]
-        for cand in itertools.product(range(-H, H + 1), repeat=n):
-            if not any(cand):
-                continue
-            if sum(c * w for c, w in zip(cand, powers)) % p != 0:
-                continue
-            nm = self.element_norm(list(cand))
-            if abs(nm) == norm_target:
-                return PrincipalityWitness(tuple(cand), nm)
-        return None
 
 
 def _quadratic_shape(D: int, p: int):

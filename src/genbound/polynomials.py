@@ -17,7 +17,6 @@ from .errors import ArithmeticInvariantError
 
 __all__ = [
     "poly_trim",
-    "poly_add",
     "poly_sub",
     "poly_mul",
     "poly_eval",
@@ -50,16 +49,6 @@ def poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
 
 
 def poly_sub(a, b):

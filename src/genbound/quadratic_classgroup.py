@@ -2,15 +2,16 @@
 
 Forms are (a, b, c) triples of discriminant d = b^2 - 4ac, d a fundamental
 discriminant. Negative discriminants use the classical reduced-form
-normal form; positive ones use reduction cycles, with the ordinary (wide)
-group obtained from the narrow one by quotienting out the class of the
-norm -1 template. The reduced forms are enumerated in O(sqrt|d|) steps
-from modular square roots: for each leading coefficient a (1 <= a <=
-sqrt(|d|/3) when d < 0, 1 <= |a| <= sqrt(d) when d > 0) the classes b mod
-2a with b^2 = d (mod 4a) are the roots of d modulo each prime power
-dividing a, joined by CRT; each class gives at most one reduced b, in
-(-a, a] for d < 0 and in (|sqrt d - 2|a||, sqrt d) for d > 0. Composition
-is Gauss-Dirichlet composition in the form of Cohen, GTM 138, Alg. 5.4.7:
+normal form. Positive ones use reduction cycles: a rho-cycle is a narrow
+class, and a wide class joins the cycles of (a, b, c) and (-a, b, -c),
+which differ by the class of sqrt(d), of norm -d < 0 (Cohen, GTM 138,
+§5.2). The reduced forms are enumerated in O(sqrt|d|) steps from modular
+square roots: for each leading coefficient a (1 <= a <= sqrt(|d|/3) when
+d < 0, 1 <= |a| <= sqrt(d) when d > 0) the classes b mod 2a with
+b^2 = d (mod 4a) are the roots of d modulo each prime power dividing a,
+joined by CRT; each class gives at most one reduced b, in (-a, a] for
+d < 0 and in (|sqrt d - 2|a||, sqrt d) for d > 0. Composition is
+Gauss-Dirichlet composition in the form of Cohen, GTM 138, Alg. 5.4.7:
 two extended gcds and one step modulo a leading coefficient. The
 elementary divisors come from p-torsion counts for each prime p dividing
 h, and the generation check grows the subgroup one prime class at a time.
@@ -84,11 +85,10 @@ def enumerate_fundamental_discriminants(bound: int):
 # ----------------------------------------------------------------------
 # reduction
 # ----------------------------------------------------------------------
-def _reduce_definite(form):
+def _reduce_definite(form, d):
     a, b, c = form
     if a <= 0:
         raise ValueError("positive definite forms need a > 0")
-    d = form_disc(form)
     while True:
         # normalize b into (-a, a]
         r = b % (2 * a)
@@ -365,90 +365,63 @@ class ClassGroupDescription:
         self.disc = disc
         self._sq = math.isqrt(disc) if disc > 0 else 0
         reduced = _enumerate_reduced(disc)
+        # _class maps every reduced form to the least reduced form of its wide class
         if disc < 0:
-            self._narrow_canon = {f: f for f in reduced}
-            narrow_reps = sorted(reduced)
-            self._wide_of = {f: f for f in narrow_reps}
+            self._class = {f: f for f in reduced}
+            self.narrow_class_number = len(reduced)
         else:
-            self._narrow_canon = {}
-            narrow_reps = []
-            seen = set()
-            for f in reduced:
-                if f in seen:
+            # a rho-cycle is a narrow class; (a, b, c) and (-a, b, -c) differ
+            # by the class of sqrt(d), of norm -d < 0, so the wide class of a
+            # cycle is its union with the cycle of any partner (-a, b, -c)
+            self._class = {}
+            self.narrow_class_number = 0
+            for a, b, c in reduced:
+                if (a, b, c) in self._class:
                     continue
-                cyc = _cycle(f, disc, self._sq)
-                canon = min(cyc)
-                for g in cyc:
-                    self._narrow_canon[g] = canon
-                    seen.add(g)
-                narrow_reps.append(canon)
-            narrow_reps.sort()
-            # quotient by the class of the norm -1 template (-1, b0, ...)
-            b0 = self._principal_b0()
-            neg = self._narrow_class((-1, b0, (disc - b0 * b0) // 4))
-            self._wide_of = {}
-            for f in narrow_reps:
-                partner = self._narrow_compose(f, neg)
-                self._wide_of[f] = min(f, partner)
-        self.narrow_class_number = len(narrow_reps)
-        self.representatives = tuple(sorted(set(self._wide_of.values())))
+                union = _cycle((a, b, c), disc, self._sq)
+                self.narrow_class_number += 1
+                if (-a, b, -c) not in union:
+                    union += _cycle((-a, b, -c), disc, self._sq)
+                    self.narrow_class_number += 1
+                self._class.update(dict.fromkeys(union, min(union)))
+        self.representatives = tuple(sorted(set(self._class.values())))
         self.h = len(self.representatives)
-        b0 = self._principal_b0()
+        b0 = disc % 2
         self.identity = self.class_of((1, b0, (b0 * b0 - disc) // 4))
         self.elementary_divisors = tuple(
             _abelian_invariants(self.representatives, self.compose, self.identity)
         )
 
     # -- internal helpers ------------------------------------------------
-    def _principal_b0(self):
-        return self.disc % 2
-
-    def _narrow_class(self, form):
-        if form_disc(form) != self.disc:
-            raise ValueError(f"form {form} has discriminant {form_disc(form)}, not {self.disc}")
+    def _reduce(self, form):
         if self.disc < 0:
-            return _reduce_definite(form)
-        red = _reduce_indefinite(form, self.disc, self._sq)
-        return self._narrow_canon[red]
+            return _reduce_definite(form, self.disc)
+        return _reduce_indefinite(form, self.disc, self._sq)
 
-    def _positive_rep(self, narrow_canon):
-        if narrow_canon[0] > 0:
-            return narrow_canon
+    def _positive_rep(self, form):
+        if form[0] > 0:
+            return form
         # neighbours on the cycle alternate the sign of a
-        return _rho(narrow_canon, self.disc, self._sq)
-
-    def _narrow_compose(self, f, g):
-        prod = _compose_raw(
-            self._positive_rep(f), self._positive_rep(g), self.disc
-        )
-        return self._narrow_class(prod)
+        return _rho(form, self.disc, self._sq)
 
     # -- public operations -----------------------------------------------
     def class_of(self, form) -> tuple:
         """Canonical representative of the wide class of a form of this discriminant."""
-        return self._wide_of[self._narrow_class(form)]
+        if form_disc(form) != self.disc:
+            raise ValueError(f"form {form} has discriminant {form_disc(form)}, not {self.disc}")
+        return self._class[self._reduce(form)]
 
     def compose(self, f, g) -> tuple:
         """Wide class of the product; a representative is used as it is, any
         other form of this discriminant is canonicalised by class_of first."""
-        # every wide representative is a key of _wide_of that maps to itself
-        if self._wide_of.get(f) != f:
+        # every wide representative is a key of _class that maps to itself
+        if self._class.get(f) != f:
             f = self.class_of(f)
-        if self._wide_of.get(g) != g:
+        if self._class.get(g) != g:
             g = self.class_of(g)
-        return self._wide_of[self._narrow_compose(f, g)]
-
-    def inverse(self, f) -> tuple:
-        a, b, c = self.class_of(f)
-        return self.class_of((a, -b, c))
-
-    def order_of(self, f) -> int:
-        f = self.class_of(f)
-        k, x = 1, f
-        while x != self.identity:
-            x = self.compose(x, f)
-            k += 1
-        return k
+        # _compose_raw has checked the product's discriminant
+        prod = _compose_raw(self._positive_rep(f), self._positive_rep(g), self.disc)
+        return self._class[self._reduce(prod)]
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Closed forms of the kernel algebra against direct quadrature and frozen anchors.
 
-The convolution and archimedean-integral formulas are cross-checked with the
-package's adaptive Simpson integrator on randomized (x, L) cases; the alpha
-and beta anchors were computed once with 30-digit interval arithmetic and are
-frozen here as literals.
+The convolution and archimedean-integral formulas of kernel_derivation are
+cross-checked with an adaptive Simpson integrator on randomized (x, L)
+cases, and alpha and beta against those integrals; the alpha and beta
+anchors were computed once with 30-digit interval arithmetic and are frozen
+here as literals.
 """
 
 import math
@@ -12,23 +13,22 @@ import random
 import numpy as np
 import pytest
 
-from genbound.analytic_kernel import (
-    CONSTANTS,
+from genbound import analytic_kernel
+from genbound.analytic_kernel import alpha, beta, window_denominator
+from genbound.errors import WindowTooWideError
+
+import kernel_derivation as kd
+from kernel_derivation import (
     SupportLevel,
-    alpha,
     archimedean_ch_integral,
     archimedean_sh_integral,
-    beta,
     conv_pm,
     conv_pp,
     f_objective,
     minimize_c,
     psi_plus,
     sh_weight_integral,
-    window_denominator,
 )
-from genbound.errors import WindowTooWideError
-
 from quadrature import adaptive_simpson
 
 RNG_SEED = 20240814
@@ -180,8 +180,10 @@ def test_lhs_minorant():
 def test_alpha_beta_frozen_anchors():
     assert alpha(1000.0) == pytest.approx(ALPHA_1000, abs=1e-12)
     assert beta(1000.0) == pytest.approx(BETA_1000, abs=1e-12)
-    assert CONSTANTS.alpha_limit == pytest.approx(ALPHA_LIMIT, abs=1e-12)
-    assert CONSTANTS.beta_limit == pytest.approx(BETA_LIMIT, abs=1e-12)
+    assert kd.ALPHA_LIMIT == pytest.approx(ALPHA_LIMIT, abs=1e-12)
+    assert kd.BETA_LIMIT == pytest.approx(BETA_LIMIT, abs=1e-12)
+    # the shift inside beta, bit for bit
+    assert analytic_kernel._BETA_SHIFT == kd.EULER_GAMMA + math.log(2.0 * math.pi)
 
 
 def test_alpha_beta_consistent_with_integrals():
@@ -190,7 +192,7 @@ def test_alpha_beta_consistent_with_integrals():
         A = math.exp(0.5 * L)
         assert alpha(y) * A == pytest.approx(archimedean_ch_integral(L), rel=1e-12)
         shifted = archimedean_sh_integral(L) + 2.0 * math.expm1(0.5 * L) * (
-            CONSTANTS.euler_gamma + CONSTANTS.log_8pi
+            kd.EULER_GAMMA + kd.LOG_8PI
         )
         assert beta(y) * A == pytest.approx(shifted, rel=1e-11, abs=1e-11)
 
@@ -205,7 +207,7 @@ def test_alpha_positive_and_increasing():
         if prev is not None:
             assert val > prev
         prev = val
-    assert abs(alpha(1e10) - CONSTANTS.alpha_limit) < 1e-3
+    assert abs(alpha(1e10) - kd.ALPHA_LIMIT) < 1e-3
 
 
 def test_beta_sign_change_and_increasing():
@@ -218,7 +220,7 @@ def test_beta_sign_change_and_increasing():
         if prev is not None:
             assert val > prev
         prev = val
-    assert abs(beta(1e10) - CONSTANTS.beta_limit) < 1e-3
+    assert abs(beta(1e10) - kd.BETA_LIMIT) < 1e-3
 
 
 def test_alpha_beta_domain():

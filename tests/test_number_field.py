@@ -244,7 +244,7 @@ def test_field_psi():
 
 
 # ----------------------------------------------------------------------
-# geometry and principality
+# geometry
 # ----------------------------------------------------------------------
 def test_minkowski_bounds():
     expected = {23: 1.357, 31: 1.575, 44: 1.877, 49: 1.556, 59: 2.173, 76: 2.466}
@@ -258,35 +258,3 @@ def test_fixture_file():
     fixtures = load_cubic_fixtures()
     assert len(fixtures) == 6
     assert [f.abs_disc for f in fixtures] == [23, 31, 44, 49, 59, 76]
-
-
-def test_principality_witnesses():
-    K59 = NumberField([-1, 2, 0, 1])
-    w = K59.principality_search(2, 1, 2, 2)
-    assert w is not None
-    assert abs(w.norm) == 2
-    assert sum(c * 1**i for i, c in enumerate(w.coeffs)) % 2 == 0
-    K76 = NumberField([-2, -2, 0, 1])
-    w2 = K76.principality_search(2, 0, 2, 2)
-    assert w2 is not None and abs(w2.norm) == 2
-    assert w2.coeffs[0] % 2 == 0  # value at root 0 is the constant term
-
-
-def test_principality_failure_is_none():
-    # norm-3 primes of Q(sqrt -5) are not principal: a^2 + 5b^2 = 3 has no
-    # solution, so no witness exists at any height
-    K = NumberField([5, 0, 1])
-    assert K.principality_search(3, 1, 3, 4) is None
-
-
-def test_principality_bad_root():
-    with pytest.raises(ValueError):
-        NumberField([5, 0, 1]).principality_search(3, 0, 3, 2)
-
-
-def test_element_norm():
-    K = NumberField([1, 0, 1])
-    assert K.element_norm([1, 1]) == 2  # N(1 + i)
-    assert K.element_norm([0, 1]) == 1  # N(i)
-    assert K.element_norm([3]) == 9
-    assert K.element_norm([]) == 0

@@ -4,7 +4,10 @@ The independent oracle for negative discriminants is the finite character
 sum h = w/(2|d|) |sum a chi_d(a)|, evaluated exactly in integers; structure
 constants (elementary divisors, ambiguous-class counts) are checked against
 two-torsion genus counts. Positive-discriminant values are classical
-frozen table entries with the narrow/wide distinction worked by hand.
+frozen table entries with the narrow/wide distinction worked by hand, and
+the wide classes are checked against composition with the norm -1
+template. Orders and inverses, which only the tests need, are computed
+here by repeated composition.
 """
 
 import math
@@ -19,9 +22,11 @@ from genbound.quadratic_classgroup import (
     PrimeClassInfo,
     _abelian_invariants,
     _compose_raw,
+    _cycle,
     _enumerate_reduced,
     _prime_factor_table,
     _reduce_indefinite,
+    _rho,
     _sqrt_mod_prime,
     _square_roots,
     class_group,
@@ -32,6 +37,21 @@ from genbound.quadratic_classgroup import (
     prime_class,
 )
 from reduced_forms_scan import enumerate_reduced_by_scan
+
+
+def inverse(G, f):
+    a, b, c = G.class_of(f)
+    return G.class_of((a, -b, c))
+
+
+def order_of(G, f):
+    """Order of the class of f, by repeated composition."""
+    f = G.class_of(f)
+    k, x = 1, f
+    while x != G.identity:
+        x = G.compose(x, f)
+        k += 1
+    return k
 
 
 def dirichlet_h(d):
@@ -209,8 +229,8 @@ def test_group_laws_definite():
         for f in reps:
             assert form_disc(f) == d
             assert G.compose(f, G.identity) == f
-            assert G.compose(f, G.inverse(f)) == G.identity
-            assert G.h % G.order_of(f) == 0
+            assert G.compose(f, inverse(G, f)) == G.identity
+            assert G.h % order_of(G, f) == 0
         for f in reps:
             for g in reps:
                 assert G.compose(f, g) == G.compose(g, f)
@@ -229,8 +249,8 @@ def test_group_laws_indefinite():
     for d in (40, 60, 229, 316):
         G = class_group(d)
         for f in G.representatives:
-            assert G.compose(f, G.inverse(f)) == G.identity
-            assert G.h % G.order_of(f) == 0
+            assert G.compose(f, inverse(G, f)) == G.identity
+            assert G.h % order_of(G, f) == 0
         for f in G.representatives:
             for g in G.representatives:
                 assert G.compose(f, g) == G.compose(g, f)
@@ -241,15 +261,15 @@ def test_exponent_is_last_divisor():
         G = class_group(d)
         if not G.elementary_divisors:
             continue
-        assert max(G.order_of(f) for f in G.representatives) == G.elementary_divisors[-1]
+        assert max(order_of(G, f) for f in G.representatives) == G.elementary_divisors[-1]
 
 
 def test_cyclic_cubic_relations():
     G = class_group(-23)
     assert G.representatives == ((1, 1, 6), (2, -1, 3), (2, 1, 3))
     g = (2, 1, 3)
-    assert G.compose(g, g) == G.inverse(g) == (2, -1, 3)
-    assert G.order_of(g) == 3
+    assert G.compose(g, g) == inverse(G, g) == (2, -1, 3)
+    assert order_of(G, g) == 3
 
 
 def test_composition_represents_products():
@@ -275,7 +295,7 @@ def test_torsion_counts_match_elementary_divisors():
     # by repeated composition
     for d in enumerate_fundamental_discriminants(1000):
         G = class_group(d)
-        orders = [G.order_of(f) for f in G.representatives]
+        orders = [order_of(G, f) for f in G.representatives]
         for m in (m for m in range(1, G.h + 1) if G.h % m == 0):
             want = math.prod(math.gcd(m, n) for n in G.elementary_divisors)
             assert sum(m % k == 0 for k in orders) == want, (d, m)
@@ -326,6 +346,38 @@ def test_indefinite_cycle_structure_60():
     assert G.narrow_class_number == 4
     assert G.h == 2
     assert G.elementary_divisors == (2,)
+
+
+def test_wide_classes_match_template_route():
+    # the wide class of a rho-cycle, found by composing it with the norm -1
+    # template (-1, d mod 2, (d - (d mod 2)^2)/4) and keeping the lesser
+    # narrow representative, against the partner-cycle construction
+    for d in enumerate_fundamental_discriminants(3000):
+        if d < 0:
+            continue
+        G = class_group(d)
+        sq = math.isqrt(d)
+        narrow = {}
+        for f in _enumerate_reduced(d):
+            if f not in narrow:
+                cyc = _cycle(f, d, sq)
+                narrow.update(dict.fromkeys(cyc, min(cyc)))
+
+        def narrow_class(form):
+            return narrow[_reduce_indefinite(form, d, sq)]
+
+        def positive(f):
+            return f if f[0] > 0 else _rho(f, d, sq)
+
+        b0 = d % 2
+        neg = narrow_class((-1, b0, (d - b0 * b0) // 4))
+        one = narrow_class((1, b0, (b0 * b0 - d) // 4))
+        assert G._class.keys() == narrow.keys(), d
+        for f, canon in narrow.items():
+            partner = narrow_class(_compose_raw(positive(canon), positive(neg), d))
+            assert G._class[f] == min(canon, partner), (d, f)
+        assert G.narrow_class_number == len(set(narrow.values())), d
+        assert G.narrow_class_number == (G.h if neg == one else 2 * G.h), d
 
 
 # ----------------------------------------------------------------------
