@@ -15,16 +15,25 @@ block of the (T, c) grid, minimal_T_generic one bisection step for every
 candidate scale c at once. A numpy margin only decides points clear of
 zero; points near it are decided by the scalar eval_exact or
 eval_generic, so both solvers return what a scalar search would.
+
+What the generic criterion needs of c alone (sqrt(c), the discriminant
+and kernel-slack terms, the majorant coefficients from rational_sieve and
+the validity floor) is taken once per scale, in _Scales: one row of floats
+for eval_generic, and for each minimal_T_generic solve one scale table of
+arrays over the candidate scales. The table also carries, per scale, a
+bound on |lhs| + sum |term| over [floor, 4 log^2 disc], against which a
+numpy margin counts as near zero.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytic_kernel import alpha, beta, window_denominator
 from .errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
-from .rational_sieve import SCHOENFELD_FLOOR, TWO_PI, majorant_terms
+from .rational_sieve import SCHOENFELD_FLOOR, TWO_PI, majorant_coefficients, scale_majorant
 
 # floor-mode replacements for alpha/beta: both functions are increasing,
 # so constants below alpha(1000), beta(1000) stay conservative once the
@@ -166,33 +175,64 @@ def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
     return TestEvaluation("exact", float(lhs), tuple((name, float(v)) for name, v in terms))
 
 
-def _generic_floor(shape: FieldShape, c: float, floor_mode: bool) -> float:
-    lo = max(SCHOENFELD_FLOOR, shape.delta2 * SHORT_POWER_MIN_CT / c)
-    if floor_mode:
-        lo = max(lo, FLOOR_MODE_MIN_T)
-    return lo
+def _generic_floor(shape: FieldShape, c, floor_mode: bool):
+    """Least T at which the generic test is valid, for a float c or a numpy array of them."""
+    base = FLOOR_MODE_MIN_T if floor_mode else SCHOENFELD_FLOOR
+    short = shape.delta2 * SHORT_POWER_MIN_CT / c
+    return np.maximum(base, short) if isinstance(short, np.ndarray) else max(base, short)
 
 
-def _generic_terms(shape: FieldShape, T, c, floor_mode: bool):
-    """LHS and named RHS terms of the generic criterion at (T, c).
+class _Scales(NamedTuple):
+    """The parts of the generic criterion that depend on the scale c alone.
 
-    T and c are floats, evaluated with the math module as alpha and beta
-    are, or numpy arrays that broadcast together. alpha and beta are
-    looked up in this module's namespace, so wrappers placed there see
+    Floats for one scale (eval_generic), or numpy arrays with one entry per
+    scale: the scale table of a minimal_T_generic solve, which alone fills
+    in size.
+    """
+
+    c: object
+    sqrt_c: object
+    discriminant: object  # 2 sqrt(c) log disc
+    kernel_slack: object  # 2 sqrt(c) - 1
+    majorant_linear: object  # rational_sieve.majorant_coefficients
+    majorant_log_sq: object
+    floor: object  # validity floor, _generic_floor
+    size: object = None  # bound on |lhs| + sum |term| over [floor, 4 log^2 disc]
+
+    def take(self, i) -> "_Scales":
+        """The scales at index, slice or mask i of every array field."""
+        return _Scales(*(None if v is None else v[i] for v in self))
+
+
+def _scales(shape: FieldShape, c, floor_mode: bool) -> _Scales:
+    """The c-only parts of the generic criterion at a float c or an array of scales."""
+    sc = np.sqrt(c) if isinstance(c, np.ndarray) else math.sqrt(c)
+    linear, log_sq = majorant_coefficients(c, shape.degree)
+    return _Scales(c, sc, 2.0 * sc * shape.log_disc, 2.0 * sc - 1.0, linear, log_sq,
+                   _generic_floor(shape, c, floor_mode))
+
+
+def _generic_terms(shape: FieldShape, T, s: _Scales, floor_mode: bool):
+    """LHS and named RHS terms of the generic criterion at (T, s.c).
+
+    T and the fields of s are floats, evaluated with the math module as
+    alpha and beta are, or numpy arrays that broadcast together. sqrt(T) and
+    log(cT) are taken once, and alpha and beta are each called once; they
+    are looked up in this module's namespace, so wrappers placed there see
     array calls too.
     """
-    xp = np if isinstance(T, np.ndarray) or isinstance(c, np.ndarray) else math
-    ct = c * T
-    sc = xp.sqrt(c)
+    xp = np if isinstance(T, np.ndarray) or isinstance(s.c, np.ndarray) else math
+    ct = s.c * T
+    sc = s.sqrt_c
     st = xp.sqrt(T)
     L = xp.log(ct)
     n, d2 = shape.degree, shape.delta2
     a_val = ALPHA_FLOOR if floor_mode else alpha(ct)
     b_val = BETA_FLOOR if floor_mode else beta(ct)
-    linear, log_sq = majorant_terms(T, c, n)
+    linear, log_sq = scale_majorant(s.majorant_linear, s.majorant_log_sq, st, L)
     terms = (
-        ("discriminant", 2.0 * sc * shape.log_disc),
-        ("kernel_slack", 2.0 * sc - 1.0),
+        ("discriminant", s.discriminant),
+        ("kernel_slack", s.kernel_slack),
         ("short_prime_powers", d2 * (SHORT_POWER_CONST / st - SHORT_POWER_SLOPE * sc)),
         ("arch_real", -sc * a_val * shape.r1),
         ("arch_total", -sc * b_val * n),
@@ -200,7 +240,7 @@ def _generic_terms(shape: FieldShape, T, c, floor_mode: bool):
         ("majorant_linear", linear),
         ("majorant_log_sq", log_sq),
     )
-    return c * st, terms
+    return s.c * st, terms
 
 
 def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -> TestEvaluation:
@@ -211,11 +251,12 @@ def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -
     T >= 1000.
     """
     T, c = cfg.T, cfg.c
-    if T < _generic_floor(shape, c, floor_mode) - 1e-12:
+    s = _scales(shape, c, floor_mode)
+    if T < s.floor - 1e-12:
         raise PreconditionError(f"T={T:g} below the validity floor for c={c:g}")
     if T > 4.0 * shape.log_disc ** 2 * (1 + 1e-15):
         raise PreconditionError("need T <= 4 log^2 disc to absorb the residual disc term")
-    lhs, terms = _generic_terms(shape, T, c, floor_mode)
+    lhs, terms = _generic_terms(shape, T, s, floor_mode)
     return TestEvaluation("generic-floor" if floor_mode else "generic", lhs, terms)
 
 
@@ -300,31 +341,73 @@ def _candidate_scales(degree: int):
     return sorted(cs)
 
 
-# array margins within this share of |lhs| + sum |term| of zero are decided
-# by eval_generic; numpy's log and summation order move a margin by some
-# 1e-15 of that size
+# an array margin within this share of the size bound _Scales.size of zero
+# is decided by eval_generic; numpy's log and summation order move a
+# margin by some 1e-15 of |lhs| + sum |term|, which the bound dominates
 _GENERIC_SLACK = 1e-12
 
+# the size bound sums each term's larger size at the floor or the cap,
+# widened by this share for rounding
+_SIZE_ROUNDING = 1e-12
 
-def _generic_passes(shape: FieldShape, T, c, floor_mode: bool) -> np.ndarray:
-    """eval_generic(...).passed at every point of the broadcast arrays T and c.
 
-    One numpy evaluation decides the points whose margin clears zero by more
-    than _GENERIC_SLACK times the size of the terms; eval_generic decides
-    the others, one point at a time.
-    """
-    lhs, terms = _generic_terms(shape, T, c, floor_mode)
-    margin, size = lhs, np.abs(lhs)
+def _generic_margin(lhs, terms):
     for _, v in terms:
-        margin = margin - v
-        size = size + np.abs(v)
+        lhs = lhs - v
+    return lhs
+
+
+def _size_bound(at_floor, at_cap):
+    """Bound on |lhs| + sum |term| over T in [floor, cap], from the two ends.
+
+    at_floor and at_cap are _generic_terms at T = floor and T = cap. At a
+    fixed scale the lhs and every term are monotone in T: each is a factor
+    fixed per scale times a constant (the discriminant and kernel-slack
+    terms, and the archimedean terms in floor mode), times 29/sqrt(T) less a
+    constant, which decreases, or times sqrt(T), log(cT), log^2(cT) with
+    cT > 1, alpha(cT) or beta(cT), which increase (analytic_kernel). A
+    monotone f on an interval has |f| <= max(|f(floor)|, |f(cap)|) at every
+    point, so the sum of those maxima bounds the sum of the sizes at every
+    T in between. The sum is widened by _SIZE_ROUNDING: evaluated in floats
+    and summed in another order, a size in between can exceed it by ulps.
+    """
+    (lhs_lo, terms_lo), (lhs_hi, terms_hi) = at_floor, at_cap
+    size = np.maximum(np.abs(lhs_lo), np.abs(lhs_hi))
+    for (_, lo), (_, hi) in zip(terms_lo, terms_hi):
+        size = size + np.maximum(np.abs(lo), np.abs(hi))
+    return size * (1.0 + _SIZE_ROUNDING)
+
+
+def _generic_passes(shape: FieldShape, T, s: _Scales, floor_mode: bool, margin=None) -> np.ndarray:
+    """eval_generic(...).passed at every point of T, an array broadcasting with s.
+
+    One numpy evaluation (or the margin already taken at T) decides the
+    points whose margin clears zero by more than _GENERIC_SLACK times the
+    size bound s.size; eval_generic decides the others, one at a time. A
+    bound above the true size only sends more points to eval_generic, so
+    every decision is eval_generic's.
+    """
+    if margin is None:
+        margin = _generic_margin(*_generic_terms(shape, T, s, floor_mode))
     passed = margin > 0.0
-    near = np.abs(margin) <= _GENERIC_SLACK * size
+    near = np.abs(margin) <= _GENERIC_SLACK * s.size
     if np.count_nonzero(near):
-        T, c = np.broadcast_arrays(T, c)
+        T, c = np.broadcast_arrays(T, s.c)
         for i in zip(*np.nonzero(near)):
             passed[i] = eval_generic(shape, TestConfig(float(T[i]), float(c[i])), floor_mode).passed
     return passed
+
+
+# the solver's path line of a scale, by how its search ended; each is
+# formatted with (c, floor, cap, least T)
+_FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BISECTION, _LINEAR_SCAN = range(5)
+_PATH_FORMATS = (
+    "c={0:.6f}: floor {1:.6g} above cap {2:.6g}",
+    "c={0:.6f}: passes at the floor T={3:.6g}",
+    "c={0:.6f}: no pass up to T={2:.6g}",
+    "c={0:.6f}: bisection, least T={3:.6g}",
+    "c={0:.6f}: linear scan, least T={3:.6g}",
+)
 
 
 def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundReport:
@@ -337,62 +420,72 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     geometric probes between the floor and the bisected point then check
     it is the first crossing; if one passes, a 513-point linear scan takes
     the least passing T instead. The smallest T wins, ties going to the
-    smaller c. All scales run in lockstep: the floor test, the cap test,
-    each bisection step and the probes are one numpy evaluation each over
-    the scales still open, and points near zero margin are decided by
+    smaller c.
+
+    A solve first builds its scale table (_Scales): per scale, c, sqrt(c),
+    the discriminant and kernel-slack terms, the c-only majorant
+    coefficients, the validity floor and a bound on the size |lhs| +
+    sum |term| over [floor, cap] (_size_bound), read from the evaluations at
+    the floor and the cap that also make the floor and cap tests. All
+    scales then run in lockstep: each bisection step and the probes are one
+    numpy evaluation each over the scales still open, and points whose
+    margin is within 1e-12 times the size bound of zero are decided by
     eval_generic (_generic_passes), so the result is the scalar search's.
-    The winner is re-checked by eval_generic, whose evaluation is reported.
+    The winner is re-checked by eval_generic, whose evaluation is reported;
+    the path lines are formatted once, at the end.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes.
     """
     t_cap = 4.0 * shape.log_disc ** 2
-    scales = _candidate_scales(shape.degree)
-    floors = [_generic_floor(shape, c, floor_mode) for c in scales]
-    cs, t_lo = np.array(scales), np.array(floors)
-    best = np.full(cs.size, np.inf)
-    path = [f"c={c:.6f}: floor {lo:.6g} above cap {t_cap:.6g}" for c, lo in zip(scales, floors)]
+    table = _scales(shape, np.array(_candidate_scales(shape.degree)), floor_mode)
+    best = np.full(table.c.size, np.inf)
+    how = np.full(table.c.size, _FLOOR_ABOVE_CAP)
 
-    idx = np.flatnonzero(t_lo <= t_cap)
-    at_floor = _generic_passes(shape, t_lo[idx], cs[idx], floor_mode)
-    for k in idx[at_floor].tolist():
-        best[k] = floors[k]
-        path[k] = f"c={scales[k]:.6f}: passes at the floor T={floors[k]:.6g}"
-    idx = idx[~at_floor]
-    at_cap = _generic_passes(shape, t_cap, cs[idx], floor_mode)
-    for k in idx[~at_cap].tolist():
-        path[k] = f"c={scales[k]:.6f}: no pass up to T={t_cap:.6g}"
+    idx = np.flatnonzero(table.floor <= t_cap)
+    if idx.size:
+        s = table.take(idx)
+        at_floor = _generic_terms(shape, s.floor, s, floor_mode)
+        at_cap = _generic_terms(shape, t_cap, s, floor_mode)
+        s = s._replace(size=_size_bound(at_floor, at_cap))
+        cap_margin = _generic_margin(*at_cap)
+        ok = _generic_passes(shape, s.floor, s, floor_mode, _generic_margin(*at_floor))
+        best[idx[ok]] = s.floor[ok]
+        how[idx[ok]] = _AT_FLOOR
+        idx, s, cap_margin = idx[~ok], s.take(~ok), cap_margin[~ok]
+        ok = _generic_passes(shape, t_cap, s, floor_mode, cap_margin)
+        how[idx[~ok]] = _NO_PASS
+        idx, s = idx[ok], s.take(ok)
 
-    # bisect every bracketed scale in lockstep; a scale leaves once narrow
-    idx = idx[at_cap]
-    rows, c_open, lo, hi = idx, cs[idx], t_lo[idx], np.full(idx.size, t_cap)
-    for _ in range(80):
-        if not rows.size:
-            break
-        mid = 0.5 * (lo + hi)
-        ok = _generic_passes(shape, mid, c_open, floor_mode)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-        narrow = hi - lo <= 1e-9 * np.maximum(1.0, hi)
-        if np.count_nonzero(narrow):
-            best[rows[narrow]] = hi[narrow]
-            wide = ~narrow
-            rows, c_open, lo, hi = rows[wide], c_open[wide], lo[wide], hi[wide]
-    best[rows] = hi
+    if idx.size:
+        # bisect every bracketed scale in lockstep; a scale leaves once narrow
+        rows, open_, lo, hi = idx, s, s.floor, np.full(idx.size, t_cap)
+        for _ in range(80):
+            if not rows.size:
+                break
+            mid = 0.5 * (lo + hi)
+            ok = _generic_passes(shape, mid, open_, floor_mode)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid)
+            narrow = hi - lo <= 1e-9 * np.maximum(1.0, hi)
+            if np.count_nonzero(narrow):
+                best[rows[narrow]] = hi[narrow]
+                wide = ~narrow
+                rows, open_, lo, hi = rows[wide], open_.take(wide), lo[wide], hi[wide]
+        best[rows] = hi
+        how[idx] = _BISECTION
 
-    # certify each bracket really is the first crossing
-    hi = best[idx]
-    probes = np.geomspace(t_lo[idx], hi, 10, axis=1)[:, 1:-1]
-    early = _generic_passes(shape, probes, cs[idx, None], floor_mode).any(axis=1)
-    for k, h, e in zip(idx.tolist(), hi.tolist(), early.tolist()):
-        path[k] = f"c={scales[k]:.6f}: bisection, least T={h:.6g}"
-        if not e:
-            continue
-        grid = np.linspace(floors[k], h, 513)
-        passed = _generic_passes(shape, grid, scales[k], floor_mode)
-        if passed.any():
-            best[k] = t = float(grid[np.argmax(passed)])
-            path[k] = f"c={scales[k]:.6f}: linear scan, least T={t:.6g}"
+        # certify each bracket really is the first crossing
+        hi = best[idx]
+        probes = np.geomspace(s.floor, hi, 10)[1:-1]
+        early = _generic_passes(shape, probes, s, floor_mode).any(axis=0)
+        for j in np.flatnonzero(early).tolist():
+            grid = np.linspace(s.floor[j], hi[j], 513)
+            passed = _generic_passes(shape, grid, s.take(j), floor_mode)
+            if passed.any():
+                k = idx[j]
+                best[k] = grid[np.argmax(passed)]
+                how[k] = _LINEAR_SCAN
 
     k = int(np.argmin(best))
     if best[k] == np.inf:
@@ -400,12 +493,16 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
             f"no bound below 4 log^2 disc certified for degree {shape.degree}, "
             f"log disc {shape.log_disc:g}"
         )
-    t, c = float(best[k]), float(cs[k])
+    t, c = float(best[k]), float(table.c[k])
     ev = eval_generic(shape, TestConfig(t, c), floor_mode)
     if not ev.passed:
         raise NoBoundCertifiedError(f"least T={t:g} found at c={c:g} fails on re-evaluation")
     subject = f"degree {shape.degree}, r1 {shape.r1}, log disc {shape.log_disc:g}"
-    return BoundReport(ev.criterion_id, subject, t, c, ev, tuple(path))
+    path = tuple(
+        _PATH_FORMATS[h].format(ck, lo, t_cap, tk)
+        for h, ck, lo, tk in zip(how.tolist(), table.c.tolist(), table.floor.tolist(), best.tolist())
+    )
+    return BoundReport(ev.criterion_id, subject, t, c, ev, path)
 
 
 # window scales tried by the exact solver, ascending: 1 (empty window) plus

@@ -38,7 +38,9 @@ __all__ = [
     "SchoenfeldReport",
     "chebyshev_psi",
     "default_table",
+    "majorant_coefficients",
     "majorant_terms",
+    "scale_majorant",
     "schoenfeld_check",
     "weighted_lambda_sum",
     "weighted_sum_majorant",
@@ -228,6 +230,22 @@ class SieveTable:
         return SchoenfeldReport(float(margins[k]), int(norms[lo + k]), int(hi - lo))
 
 
+def majorant_coefficients(c, n: int):
+    """The factors of the two degree-n majorant terms that depend on c alone.
+
+    2n(c - 1 - log c) and n(c - 1): majorant_terms times the first by
+    sqrt(T) and the second by log^2(cT) / (2 pi). c is a float, evaluated
+    with the math module, or a numpy array.
+    """
+    log_c = np.log(c) if isinstance(c, np.ndarray) else math.log(c)
+    return 2.0 * n * (c - 1.0 - log_c), n * (c - 1.0)
+
+
+def scale_majorant(linear, log_sq, sqrt_t, log_ct):
+    """The two majorant terms from majorant_coefficients, sqrt(T) and log(cT)."""
+    return linear * sqrt_t, log_sq * log_ct * log_ct / TWO_PI
+
+
 def majorant_terms(T, c, n: int):
     """The two terms of the degree-n majorant over (T, cT], per sqrt(T)/2.
 
@@ -237,8 +255,7 @@ def majorant_terms(T, c, n: int):
     that broadcast together. No validity check: see weighted_sum_majorant.
     """
     xp = np if isinstance(T, np.ndarray) or isinstance(c, np.ndarray) else math
-    L = xp.log(c * T)
-    return 2.0 * n * (c - 1.0 - xp.log(c)) * xp.sqrt(T), n * (c - 1.0) * L * L / TWO_PI
+    return scale_majorant(*majorant_coefficients(c, n), xp.sqrt(T), xp.log(c * T))
 
 
 def weighted_sum_majorant(T: float, c: float, n: int) -> float:

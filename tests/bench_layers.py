@@ -1,0 +1,56 @@
+"""Micro-benchmarks of the generic-criterion layers, one stage each.
+
+Not collected by the tier-1 run (the file name does not match test_*.py);
+run it by path with pytest-benchmark installed:
+
+    python -m pytest tests/bench_layers.py
+    python -m pytest tests/bench_layers.py --benchmark-disable  # smoke test, one call each
+
+Stages: one generic array evaluation over the 65 candidate scales,
+minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
+and loglog_disc_threshold(2).
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from genbound.criteria_engine import (  # noqa: E402
+    FieldShape,
+    TestConfig,
+    _candidate_scales,
+    _generic_margin,
+    _generic_terms,
+    _scales,
+    eval_generic,
+    loglog_disc_threshold,
+    minimal_T_generic,
+)
+
+# a log disc past every degree's threshold, where every signature is bounded
+LOG_DISC = 2.0e5
+
+
+def test_generic_array_evaluation(benchmark):
+    shape = FieldShape(6, 0, 1000.0)
+    s = _scales(shape, np.array(_candidate_scales(6)), False)
+    T = np.full(s.c.size, 2000.0)
+    margin = benchmark(lambda: _generic_margin(*_generic_terms(shape, T, s, False)))
+    assert margin.shape == (65,)
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_minimal_T_generic(benchmark, degree):
+    shape = FieldShape(degree, degree % 2, LOG_DISC)
+    report = benchmark(minimal_T_generic, shape)
+    assert report.evaluation.passed
+
+
+def test_eval_generic(benchmark):
+    shape, cfg = FieldShape(6, 0, 1000.0), TestConfig(2.0e5, 1.05)
+    assert benchmark(eval_generic, shape, cfg).criterion_id == "generic"
+
+
+def test_loglog_disc_threshold(benchmark):
+    assert benchmark(loglog_disc_threshold, 2) == pytest.approx(9.93559, abs=1e-5)

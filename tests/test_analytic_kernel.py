@@ -224,7 +224,7 @@ def test_beta_sign_change_and_increasing():
 
 
 def test_alpha_beta_domain():
-    for bad in (1.0, 0.5, -2.0):
+    for bad in (1.0, 0.5, -2.0, math.nan):
         with pytest.raises(ValueError):
             alpha(bad)
         with pytest.raises(ValueError):
@@ -233,6 +233,8 @@ def test_alpha_beta_domain():
             alpha(np.array([2.0, bad]))
         with pytest.raises(ValueError):
             beta(np.array([2.0, bad]))
+    # the array check reads the least element; an empty array has none
+    assert alpha(np.array([])).shape == beta(np.array([])).shape == (0,)
 
 
 def test_alpha_beta_arrays_match_scalars():

@@ -26,16 +26,21 @@ from genbound.criteria_engine import (
     _candidate_scales,
     _generic_floor,
     _generic_terms,
+    _scales,
+    _size_bound,
+    coefficient_of_S,
     eval_degree_specialized,
     eval_exact,
     eval_generic,
+    loglog_disc_threshold,
     minimal_T_exact,
     minimal_T_generic,
+    specialized_constants,
 )
-from genbound.errors import NoBoundCertifiedError, PreconditionError
+from genbound.errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
 from genbound.number_field import NumberField, load_cubic_fixtures
 from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
-from genbound.rational_sieve import default_table, majorant_terms, weighted_sum_majorant
+from genbound.rational_sieve import TWO_PI, default_table, majorant_terms, weighted_sum_majorant
 
 # a difference of prefix sums errs by a few unit roundoffs of the prefix
 # sums it cancels; this bound, relative to their size, leaves room for
@@ -319,7 +324,7 @@ def test_generic_terms_on_arrays_match_scalars():
     cs = np.array(_candidate_scales(5))
     T = np.geomspace(100.0, 4.0 * 400.0 ** 2, 7)[:, None]
     for floor_mode in (False, True):
-        lhs, terms = _generic_terms(shape, np.maximum(T, 1000.0), cs, floor_mode)
+        lhs, terms = _generic_terms(shape, np.maximum(T, 1000.0), _scales(shape, cs, floor_mode), floor_mode)
         for i, j in ((0, 0), (3, 17), (6, cs.size - 1)):
             t, c = max(float(T[i, 0]), 1000.0), float(cs[j])
             ev = eval_generic(shape, TestConfig(t, c), floor_mode)
@@ -328,6 +333,27 @@ def test_generic_terms_on_arrays_match_scalars():
             for (name, v), (want_name, want) in zip(terms, ev.rhs_terms):
                 assert name == want_name
                 assert abs(np.broadcast_to(v, lhs.shape)[i, j] - want) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_generic_size_bound_dominates(degree):
+    # the solver's size bound, read from the floor and the cap, against
+    # |lhs| + sum |term| on a dense grid of [floor, cap] for every scale
+    u = np.concatenate([np.linspace(0.0, 1.0, 1001), np.geomspace(1e-9, 1e-3, 200)])[:, None]
+    for n, r1 in signatures([degree]):
+        for x in (30.0, 900.0, 2.0e5):
+            shape = FieldShape(n, r1, x)
+            t_cap = 4.0 * x * x
+            for floor_mode in (False, True):
+                s = _scales(shape, np.array(_candidate_scales(n)), floor_mode)
+                s = s.take(s.floor <= t_cap)
+                at_floor = _generic_terms(shape, s.floor, s, floor_mode)
+                at_cap = _generic_terms(shape, t_cap, s, floor_mode)
+                bound = _size_bound(at_floor, at_cap)
+                T = np.minimum(s.floor + u * (t_cap - s.floor), t_cap)
+                lhs, terms = _generic_terms(shape, T, s, floor_mode)
+                size = np.abs(lhs) + sum(np.abs(v) for _, v in terms)
+                assert (size <= bound).all(), (shape, floor_mode)
 
 
 def test_generic_majorant_terms_come_from_the_sieve():
@@ -378,3 +404,43 @@ def test_specialized_below_floor(degree):
     assert eval_degree_specialized(degree, s_floor).criterion_id == f"degree-{degree}"
     with pytest.raises(PreconditionError):
         eval_degree_specialized(degree, s_floor - 1e-6)
+
+
+# T = (4 - 1/(2n)) log^2 disc from these log log disc on, frozen within the
+# solver's tol of 1e-5; for n >= 9 it returns the log log of the floor-mode
+# guard T >= 1000, not a threshold, so those degrees are not pinned
+THRESHOLDS = {2: 9.93559, 3: 10.64690, 4: 11.09625, 5: 11.33780, 6: 11.58577,
+              7: 11.60915, 8: 11.67106}
+
+
+@pytest.mark.parametrize("degree", sorted(THRESHOLDS))
+def test_threshold_anchors(degree):
+    assert abs(loglog_disc_threshold(degree) - THRESHOLDS[degree]) <= 1e-5
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_threshold_gap_out_of_range(degree):
+    for gap in (0.0, -0.1, 1.0 / (2.0 * degree) + 1e-9, 0.5):
+        with pytest.raises(PreconditionError):
+            loglog_disc_threshold(degree, target_gap=gap)
+
+
+@pytest.mark.parametrize("degree", range(4, 13))
+def test_specialized_constants_round_outward(degree):
+    # the slope rounds down and the log^2 coefficient up, by under 1e-5
+    k = specialized_constants(degree)
+    slope = coefficient_of_S(degree, k.c, k.alpha_target)
+    assert 0.0 <= slope - k.slope <= 1e-5
+    log_sq = 1.0 / (math.sqrt(k.c) * TWO_PI)
+    assert 0.0 <= k.log_sq_coeff - log_sq <= 1e-5
+
+
+def test_coefficient_of_S_guards():
+    for target in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            coefficient_of_S(4, 1.1, target)
+    with pytest.raises(ValueError):
+        coefficient_of_S(4, 0.99, 3.9)
+    # window_denominator(2, 12) = 2 - 24 (1 - log 2) < 0
+    with pytest.raises(WindowTooWideError):
+        coefficient_of_S(12, 2.0, 3.9)
