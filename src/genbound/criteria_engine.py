@@ -27,6 +27,7 @@ numpy margin counts as near zero.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -333,12 +334,15 @@ def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
     return TestEvaluation(f"degree-{degree}", k.slope * s, terms)
 
 
-def _candidate_scales(degree: int):
+@lru_cache(maxsize=None)
+def _candidate_scales(degree: int) -> tuple:
+    """The window scales c of the generic solver, ascending: 64 geometric
+    steps of c - 1 over [1/(16n), 1/n] and c = 1 + 1/(4n), once per degree."""
     lo = 1.0 / (16.0 * degree)
     hi = 1.0 / degree
     cs = {1.0 + g for g in np.geomspace(lo, hi, 64).tolist()}
     cs.add(1.0 + 1.0 / (4.0 * degree))
-    return sorted(cs)
+    return tuple(sorted(cs))
 
 
 # an array margin within this share of the size bound _Scales.size of zero

@@ -63,6 +63,6 @@ class ArithmeticInvariantError(GenboundError):
     """An exact computation broke an invariant that its algorithm guarantees.
 
     Raised in place of ``assert`` so that ``python -O`` keeps the check: a
-    composed form off the discriminant, a torsion count of a "group" that is
-    not a power of p, a failed divisibility in Dedekind's criterion.
+    composed form off the discriminant, elementary divisors whose product is
+    not the class number, a failed divisibility in Dedekind's criterion.
     """

@@ -12,10 +12,20 @@ b^2 = d (mod 4a) are the roots of d modulo each prime power dividing a,
 joined by CRT; each class gives at most one reduced b, in (-a, a] for
 d < 0 and in (|sqrt d - 2|a||, sqrt d) for d > 0. Composition is
 Gauss-Dirichlet composition in the form of Cohen, GTM 138, Alg. 5.4.7:
-two extended gcds and one step modulo a leading coefficient. The
-elementary divisors come from p-torsion counts for each prime p dividing
-h, and the generation check grows the subgroup one prime class at a time.
-All of it is exact integer arithmetic.
+two extended gcds and one step modulo a leading coefficient.
+
+Each group is built once with one growth: the subgroup H generated by the
+classes of the primes 2, 3, 5, ... (inert ones skipped) takes, for every
+prime whose class g enlarges it, the powers of g up to the first g^k in H,
+then the cosets H g^i, 0 < i < k, unless H has reached h classes; that is
+at most h - 1 compositions. The exponent vectors of the classes over the
+generators give one relation k e_j - vec(g^k) per generator, a lower
+triangular matrix with at most log2 h rows; the elementary divisors
+are the nontrivial diagonal of its Smith normal form (Cohen, GTM 138,
+Alg. 2.4.14). The group keeps prime_growth, the pairs (p, |H| after p):
+the subgroup generated by the primes up to any bound is a prefix of the
+growth, so the generation check, and B(d), are lookups. All of it is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -301,49 +311,45 @@ def _compose_raw(f1, f2, d):
     return (A, B, C)
 
 
-def _abelian_invariants(elements, compose, identity):
-    """Invariant factors (ascending, each dividing the next) of a finite
-    abelian group given by its elements and composition.
+def _smith_invariants(rows):
+    """Nontrivial invariant factors, ascending and each dividing the next,
+    of Z^n modulo the lattice spanned by the rows of a nonsingular n x n
+    integer matrix: the diagonal of its Smith normal form without the 1s.
 
-    A prime p exactly dividing h gives one factor p. For p^e || h, e >= 2,
-    the p-torsion counts |G[p^k]| = p^(s_k) are read off the map x -> x^p:
-    s_k - s_(k-1) cyclic p-factors have order >= p^k (Cohen, GTM 138, §2.4).
+    At step t the least nonzero entry of the lower-right block is moved to
+    (t, t) and its row and column are reduced modulo it; a nonzero
+    remainder, or an entry of the block it does not divide, gives a smaller
+    pivot, so the step ends with a pivot dividing the rest of the block.
     """
-
-    def power(x, m):
-        # left-to-right square-and-multiply, m >= 1
-        y = x
-        for bit in bin(m)[3:]:
-            y = compose(y, y)
-            if bit == "1":
-                y = compose(y, x)
-        return y
-
-    ranks = {}  # p -> [number of cyclic p-factors of order >= p^k, k = 1, 2, ...]
-    for p, e in factorize(len(elements))[0].items():
-        if e == 1:
-            ranks[p] = [1]
-            continue
-        pth = {x: power(x, p) for x in elements}
-        xs, s, ranks[p] = list(elements), 0, []
-        while s < e:
-            if len(ranks[p]) == e:
-                raise ArithmeticInvariantError(f"{p}-torsion stops at {p}^{s} < {p}^{e}")
-            xs = [pth.get(x) for x in xs]
-            n, t = xs.count(identity), s
-            while p**t < n:
-                t += 1
-            if p**t != n or t > e:
-                raise ArithmeticInvariantError(
-                    f"{n} elements killed by {p}^{len(ranks[p]) + 1}: not a power of {p} <= {p}^{e}"
-                )
-            ranks[p].append(t - s)
-            s = t
-    width = max((r[0] for r in ranks.values()), default=0)
-    return [
-        math.prod(p ** sum(k >= j for k in r) for p, r in ranks.items())
-        for j in range(width, 0, -1)
-    ]
+    a = [list(r) for r in rows]
+    n = len(a)
+    out = []
+    for t in range(n):
+        while True:
+            nonzero = [(abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j]]
+            if not nonzero:
+                raise ArithmeticInvariantError(f"relation matrix {rows} is singular")
+            _, i, j = min(nonzero)
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
+                continue
+            bad = next((i for i in range(t + 1, n) for x in a[i][t + 1 :] if x % p), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        if abs(p) > 1:
+            out.append(abs(p))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -388,11 +394,67 @@ class ClassGroupDescription:
         self.h = len(self.representatives)
         b0 = disc % 2
         self.identity = self.class_of((1, b0, (b0 * b0 - disc) // 4))
-        self.elementary_divisors = tuple(
-            _abelian_invariants(self.representatives, self.compose, self.identity)
-        )
+        self.prime_growth, relations = self._grow()
+        self.elementary_divisors = _smith_invariants(relations)
+        if math.prod(self.elementary_divisors) != self.h:
+            raise ArithmeticInvariantError(
+                f"elementary divisors {self.elementary_divisors} of d={disc} multiply to "
+                f"{math.prod(self.elementary_divisors)}, not h={self.h}"
+            )
 
     # -- internal helpers ------------------------------------------------
+    def _grow(self):
+        """Grow H, the subgroup generated by the classes of the primes
+        2, 3, 5, ..., one prime at a time until it is the whole group.
+
+        A class g outside H of order k modulo H takes k - 1 compositions for
+        its powers. Unless H g^0, ..., H g^(k-1) is the whole group, the
+        cosets H g^i, 0 < i < k, follow as the products x g^i for x in H,
+        (|H| - 1)(k - 1) compositions, so that later classes can be looked
+        up; at most h - 1 compositions in all. Each class of H has its
+        exponent vector over the generators so far, and the j-th generator
+        g gives the relation k e_j - vec(g^k).
+
+        Returns prime_growth, the pairs (p, |H| after p) of the primes whose
+        class enlarged H, and the relation rows, lower triangular with the
+        orders k on the diagonal. Prime ideals of norm up to sqrt(|d|/3)
+        (d < 0: every class has a reduced form with a that small) or
+        sqrt(d)/2 (d > 0, Minkowski) generate the group.
+        """
+        vec = {self.identity: ()}  # the classes of H, in the order found
+        size, growth, relations = 1, [], []
+        for p in default_table().primes_up_to(_generating_prime_bound(self.disc)).tolist():
+            if size == self.h:
+                break
+            form = _prime_form(self.disc, p)[1]
+            if form is None:
+                continue
+            g = self.class_of(form)
+            if g in vec:
+                continue
+            # g, g^2, ..., g^(k-1), for the least k with g^k in H
+            powers, gk = [], g
+            while gk not in vec:
+                powers.append(gk)
+                gk = self.compose(gk, g)
+            j, k = len(relations), len(powers) + 1
+            v = vec[gk]
+            relations.append(tuple(-e for e in v) + (0,) * (j - len(v)) + (k,))
+            size *= k
+            growth.append((p, size))
+            if size < self.h:
+                for x, v in list(vec.items()):
+                    v += (0,) * (j - len(v))
+                    xs = powers if x == self.identity else [self.compose(x, y) for y in powers]
+                    vec.update(zip(xs, [v + (i,) for i in range(1, k)]))
+        if size != self.h:
+            raise ArithmeticInvariantError(
+                f"the classes of the primes up to {_generating_prime_bound(self.disc)} "
+                f"generate {size} of the {self.h} classes of d={self.disc}"
+            )
+        r = len(relations)
+        return tuple(growth), [row + (0,) * (r - len(row)) for row in relations]
+
     def _reduce(self, form):
         if self.disc < 0:
             return _reduce_definite(form, self.disc)
@@ -405,6 +467,12 @@ class ClassGroupDescription:
         return _rho(form, self.disc, self._sq)
 
     # -- public operations -----------------------------------------------
+    @property
+    def prime_bound(self) -> int:
+        """B(d): the least bound x such that the prime ideals of norm <= x
+        generate the group, the last prime of prime_growth (1 when h = 1)."""
+        return self.prime_growth[-1][0] if self.prime_growth else 1
+
     def class_of(self, form) -> tuple:
         """Canonical representative of the wide class of a form of this discriminant."""
         if form_disc(form) != self.disc:
@@ -424,7 +492,12 @@ class ClassGroupDescription:
         return self._class[self._reduce(prod)]
 
 
-@lru_cache(maxsize=None)
+# the most recent groups only: one holds about 128 kB near |d| = 9*10^5, so
+# an unbounded cache over a census of every |d| <= 10^6 would hold tens of GB
+_CLASS_GROUP_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_CLASS_GROUP_CACHE_SIZE)
 def class_group(disc: int) -> ClassGroupDescription:
     return ClassGroupDescription(disc)
 
@@ -432,42 +505,46 @@ def class_group(disc: int) -> ClassGroupDescription:
 # ----------------------------------------------------------------------
 # prime ideals
 # ----------------------------------------------------------------------
-def prime_class(disc: int, p: int) -> PrimeClassInfo:
-    """Class of a prime ideal of norm p, or the inert marker."""
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+def _generating_prime_bound(disc: int) -> int:
+    """A bound whose prime ideals generate the class group: floor(sqrt(|d|/3))
+    for d < 0, floor(sqrt(d)/2) (Minkowski) for d > 0."""
+    return math.isqrt(-disc // 3) if disc < 0 else math.isqrt(disc) // 2
+
+
+def _prime_form(disc: int, p: int):
+    """(status, form) of a prime ideal of norm p: (p, b, c) for the least
+    root b in [0, 2p) of b^2 = disc (mod 4p), or ("inert", None)."""
     sym = kronecker(disc, p)
     if sym == -1:
-        return PrimeClassInfo(p, "inert", None)
-    # the least root b in [0, 2p); for a split p the other root, 2p - b,
-    # gives the inverse class
+        return "inert", None
+    # for a split p the other root, 2p - b, gives the inverse class
     roots = _square_roots(disc, {p: p})(p)
     if not roots:
         raise ArithmeticInvariantError(f"no form of leading coefficient {p} despite kronecker {sym}")
     b = min(roots)
-    form = (p, b, (b * b - disc) // (4 * p))
-    status = "ramified" if sym == 0 else "split"
+    return ("ramified" if sym == 0 else "split"), (p, b, (b * b - disc) // (4 * p))
+
+
+def prime_class(disc: int, p: int) -> PrimeClassInfo:
+    """Class of a prime ideal of norm p, or the inert marker."""
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    status, form = _prime_form(disc, p)
+    if form is None:
+        return PrimeClassInfo(p, status, None)
     return PrimeClassInfo(p, status, class_group(disc).class_of(form))
 
 
 def generated_by_primes_up_to(disc: int, bound: float):
     """Do the classes of prime ideals of norm <= bound generate the class group?
 
-    Returns (generates, subgroup_order).
+    Returns (generates, subgroup_order). The subgroup is the class group's
+    prime growth up to the last prime <= bound, so no composition is made.
     """
     group = class_group(disc)
-    sub = {group.identity}
-    for p in default_table().primes_up_to(bound):
-        if len(sub) == group.h:
+    order = 1
+    for p, size in group.prime_growth:
+        if p > bound:
             break
-        g = prime_class(disc, int(p)).form
-        if g is None or g in sub:
-            continue
-        # add the cosets H g^k until g^k lands in the union so far, which
-        # first happens when g^k lands in H itself
-        gk, coset = g, list(sub)
-        while gk not in sub:
-            coset = [group.compose(x, g) for x in coset]
-            sub.update(coset)
-            gk = group.compose(gk, g)
-    return len(sub) == group.h, len(sub)
+        order = size
+    return order == group.h, order

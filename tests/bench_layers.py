@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the generic-criterion layers, one stage each.
+"""Micro-benchmarks of single layers: the generic criterion and the
+quadratic class group, one stage each.
 
 Not collected by the tier-1 run (the file name does not match test_*.py);
 run it by path with pytest-benchmark installed:
@@ -8,8 +9,12 @@ run it by path with pytest-benchmark installed:
 
 Stages: one generic array evaluation over the 65 candidate scales,
 minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
-and loglog_disc_threshold(2).
+and loglog_disc_threshold(2); class_group built afresh at d = -999 983 and
+at d = -17 927 (h = 140, 2 and 3 split), one composition of two of its
+representatives, and generated_by_primes_up_to on its cached group.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from genbound.criteria_engine import (  # noqa: E402
     loglog_disc_threshold,
     minimal_T_generic,
 )
+from genbound.quadratic_classgroup import class_group, generated_by_primes_up_to  # noqa: E402
 
 # a log disc past every degree's threshold, where every signature is bounded
 LOG_DISC = 2.0e5
@@ -54,3 +60,22 @@ def test_eval_generic(benchmark):
 
 def test_loglog_disc_threshold(benchmark):
     assert benchmark(loglog_disc_threshold, 2) == pytest.approx(9.93559, abs=1e-5)
+
+
+@pytest.mark.parametrize("disc", [-999_983, -17_927])
+def test_class_group(benchmark, disc):
+    # __wrapped__ bypasses the cache, so each round builds the group
+    group = benchmark(class_group.__wrapped__, disc)
+    assert math.prod(group.elementary_divisors) == group.h
+
+
+def test_compose(benchmark):
+    group = class_group(-17_927)
+    f, g = group.representatives[-2:]
+    assert benchmark(group.compose, f, g) in group.representatives
+
+
+def test_generated_by_primes_up_to(benchmark):
+    disc = -17_927
+    class_group(disc)
+    assert benchmark(generated_by_primes_up_to, disc, 4.0 * math.log(-disc) ** 2) == (True, 140)

@@ -3,13 +3,15 @@
 The independent oracle for negative discriminants is the finite character
 sum h = w/(2|d|) |sum a chi_d(a)|, evaluated exactly in integers; structure
 constants (elementary divisors, ambiguous-class counts) are checked against
-two-torsion genus counts. Positive-discriminant values are classical
+two-torsion genus counts and, for the elementary divisors, against the
+p-torsion counts of tests/torsion_invariants.py. Positive-discriminant values are classical
 frozen table entries with the narrow/wide distinction worked by hand, and
 the wide classes are checked against composition with the norm -1
 template. Orders and inverses, which only the tests need, are computed
 here by repeated composition.
 """
 
+import itertools
 import math
 import random
 
@@ -19,14 +21,15 @@ from genbound import quadratic_classgroup
 from genbound.arith import is_probable_prime, kronecker
 from genbound.errors import ArithmeticInvariantError
 from genbound.quadratic_classgroup import (
+    _CLASS_GROUP_CACHE_SIZE,
     PrimeClassInfo,
-    _abelian_invariants,
     _compose_raw,
     _cycle,
     _enumerate_reduced,
     _prime_factor_table,
     _reduce_indefinite,
     _rho,
+    _smith_invariants,
     _sqrt_mod_prime,
     _square_roots,
     class_group,
@@ -37,6 +40,7 @@ from genbound.quadratic_classgroup import (
     prime_class,
 )
 from reduced_forms_scan import enumerate_reduced_by_scan
+from torsion_invariants import abelian_invariants
 
 
 def inverse(G, f):
@@ -301,6 +305,19 @@ def test_torsion_counts_match_elementary_divisors():
             assert sum(m % k == 0 for k in orders) == want, (d, m)
 
 
+def test_elementary_divisors_match_torsion_oracle():
+    for d in enumerate_fundamental_discriminants(3000):
+        G = class_group(d)
+        want = abelian_invariants(G.representatives, G.compose, G.identity)
+        assert G.elementary_divisors == tuple(want), d
+
+
+def test_class_group_cache_is_bounded():
+    for d in enumerate_fundamental_discriminants(400)[: _CLASS_GROUP_CACHE_SIZE + 8]:
+        class_group(d)
+    assert class_group.cache_info().currsize <= _CLASS_GROUP_CACHE_SIZE
+
+
 def test_compose_matches_dirichlet_united_form():
     # for coprime leading coefficients a1, a2 > 0 the product class holds
     # (a1 a2, B, .) with B = b1 (mod 2 a1) and B = b2 (mod 2 a2)
@@ -322,16 +339,86 @@ def test_broken_invariants_raise():
     # forms of discriminants -20 and -23 have no composition
     with pytest.raises(ArithmeticInvariantError):
         _compose_raw((2, 2, 3), (2, 1, 3), -20)
+
+
+def test_torsion_oracle_rejects_non_groups():
     # multiplication mod 4 is no group: its 2-torsion count stops at 2 of 4
     with pytest.raises(ArithmeticInvariantError):
-        _abelian_invariants([0, 1, 2, 3], lambda x, y: x * y % 4, 1)
+        abelian_invariants([0, 1, 2, 3], lambda x, y: x * y % 4, 1)
     # a "squaring" that kills 3 of 8 elements, then all of them
     squares = [0, 0, 0, 1, 1, 1, 1, 1]
     with pytest.raises(ArithmeticInvariantError):
-        _abelian_invariants(list(range(8)), lambda x, y: y if x == 0 else squares[x], 0)
+        abelian_invariants(list(range(8)), lambda x, y: y if x == 0 else squares[x], 0)
     # a "composition" that never reaches the identity must not loop
     with pytest.raises(ArithmeticInvariantError):
-        _abelian_invariants(list(range(9)), lambda x, y: y, 0)
+        abelian_invariants(list(range(9)), lambda x, y: y, 0)
+
+
+def test_growth_out_of_primes_raises(monkeypatch):
+    # the class group of -84 is (2, 2); the class of 2 alone spans half of it
+    monkeypatch.setattr(quadratic_classgroup, "_generating_prime_bound", lambda d: 2)
+    with pytest.raises(ArithmeticInvariantError):
+        class_group.__wrapped__(-84)
+
+
+def test_divisor_product_not_h_raises(monkeypatch):
+    monkeypatch.setattr(quadratic_classgroup, "_smith_invariants", lambda rows: (2,))
+    with pytest.raises(ArithmeticInvariantError):
+        class_group.__wrapped__(-84)
+
+
+# ----------------------------------------------------------------------
+# Smith normal form of the relation matrix
+# ----------------------------------------------------------------------
+def _determinant(m):
+    # cofactor expansion along the first row; the matrices here are tiny
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _determinant([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
+def invariants_by_minors(m):
+    """Invariant factors from the determinantal divisors: the k-th is
+    D_k / D_(k-1), D_k the gcd of the k x k minors."""
+    n, out, prev = len(m), [], 1
+    for k in range(1, n + 1):
+        dk = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                dk = math.gcd(dk, _determinant([[m[i][j] for j in cols] for i in rows]))
+        out.append(dk // prev)
+        prev = dk
+    return tuple(x for x in out if x != 1)
+
+
+def test_smith_invariants_hand_made():
+    assert _smith_invariants([[6, 0], [0, 4]]) == (2, 12)
+    assert _smith_invariants([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ()
+    assert _smith_invariants([]) == ()
+    assert _smith_invariants([[5]]) == (5,)
+    assert _smith_invariants([[-5]]) == (5,)
+    # a relation row k e_j - vec(g^k): g2^2 = g1^2 with g1 of order 4
+    assert _smith_invariants([[4, 0], [-2, 2]]) == (2, 4)
+    assert _smith_invariants([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == (30,)
+    assert _smith_invariants([[2, 0, 0], [0, 2, 0], [0, -1, 4]]) == (2, 8)
+    with pytest.raises(ArithmeticInvariantError):
+        _smith_invariants([[2, 0], [4, 0]])
+
+
+def test_smith_invariants_match_minors():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 300:
+        n = rng.randrange(1, 5)
+        m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        if _determinant(m) == 0:
+            continue
+        assert _smith_invariants(m) == invariants_by_minors(m), m
+        checked += 1
 
 
 def test_reduce_indefinite_raises_when_stuck(monkeypatch):
@@ -453,3 +540,29 @@ def test_generated_matches_brute_force_closure():
                 frontier = list(new - closure)
                 closure |= new
             assert generated_by_primes_up_to(d, bound) == (len(closure) == G.h, len(closure))
+
+
+def test_prime_bound_is_least_generating_prime():
+    # B(d) against the least prime bound whose classes' brute-force
+    # closure is the whole group
+    primes = [p for p in range(2, 200) if is_probable_prime(p)]
+    for d in enumerate_fundamental_discriminants(1000):
+        G = class_group(d)
+        closure, gens, least = {G.identity}, [], 1
+        for p in primes:
+            if len(closure) == G.h:
+                break
+            g = prime_class(d, p).form
+            if g is None:
+                continue
+            gens.append(g)
+            frontier, size = list(closure), len(closure)
+            while frontier:
+                new = {G.compose(f, x) for f in frontier for x in gens} - closure
+                closure |= new
+                frontier = list(new)
+            if len(closure) > size:
+                least = p
+        assert len(closure) == G.h, d
+        assert G.prime_bound == least, d
+        assert G.prime_growth[-1:] == (((least, G.h),) if G.h > 1 else ()), d
