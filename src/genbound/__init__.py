@@ -6,13 +6,13 @@ number field, with T of size (4 - eps) log^2 Delta. Submodules:
 
 - analytic_kernel: the archimedean coefficients alpha and beta, and the
   window denominator c - 2n(c - 1 - log c)
-- rational_sieve: primes, Chebyshev psi, weighted von Mangoldt sums and
-  their square-root-accurate majorant
+- rational_sieve: primes, the prefix-sum index over norms, and the
+  coefficients of the square-root-accurate rational majorant
 - arith: primality, factoring and the Kronecker symbol
 - polynomials: exact polynomial arithmetic over Z and GF(p): resultants,
   discriminants, Sturm chains, factor shapes mod p, Dedekind's criterion
-- number_field: defining polynomials, discriminants, prime splitting,
-  ideal-norm streams and their windowed sums
+- number_field: defining polynomials, discriminants, prime splitting, and
+  prefix-sum indexes over the prime-ideal powers
 - quadratic_classgroup: binary quadratic form class groups and the
   generated-by-small-primes test
 - criteria_engine: the exact and generic criteria, minimal-T solvers and

@@ -68,16 +68,8 @@ class FieldShape:
             raise ValueError("log_disc must be positive")
 
     @property
-    def r2(self) -> int:
-        return (self.degree - self.r1) // 2
-
-    @property
     def delta2(self) -> int:
         return 1 if self.degree == 2 else 0
-
-    @property
-    def delta_odd(self) -> int:
-        return self.degree % 2
 
     @classmethod
     def of_field(cls, field) -> "FieldShape":
@@ -98,14 +90,6 @@ class TestConfig:
             raise PreconditionError("window scale c must be >= 1")
         if not self.T > self.c:
             raise PreconditionError("need T > c, so the window midpoint exp(L/2) stays below T")
-
-    @property
-    def ct(self) -> float:
-        return self.c * self.T
-
-    @property
-    def log_window(self) -> float:
-        return math.log(self.ct)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ class GenboundError(Exception):
 
 
 class SieveCapacityError(GenboundError):
-    """A query needs primes or prime powers beyond the sieve ceiling.
+    """A query needs primes beyond the sieve ceiling.
 
     Sieve tables grow on demand up to the fixed ceiling
     rational_sieve.MAX_LIMIT; a query above it is refused before anything

@@ -2,17 +2,17 @@
 
 Supplies exactly what the generation criteria consume: degree and signature,
 a certified field discriminant where the index can be ruled out prime by
-prime, splitting types of rational primes, the stream of prime-ideal powers
-with von Mangoldt weights, windowed weighted sums over that stream, and
-the Minkowski bound. Splitting at a prime whose index status cannot be
-certified raises rather than guessing.
+prime, splitting types of rational primes, the prime-ideal powers with
+their von Mangoldt weights, and the Minkowski bound. Splitting at a prime
+whose index status cannot be certified raises rather than guessing.
 
-The stream is held as two prefix-sum indexes (rational_sieve.NormIndex):
-one over the prime ideals, for the window sum over (T, cT], and one over
-all prime-ideal powers, for psi and the short sum. Each sum is two binary
-searches and a difference of prefix sums, for scalar bounds or numpy
-arrays of them; the difference cancels, with an absolute error of a few
-unit roundoffs times the prefix sums at the upper bound.
+The prime-ideal powers are built from split_prime and kept only as two
+prefix-sum indexes (rational_sieve.NormIndex): one over the prime ideals,
+for the window sum over (T, cT], and one over all prime-ideal powers, for
+the short sum. Each sum is two binary searches and a difference of prefix
+sums, for scalar bounds or numpy arrays of them; the difference cancels,
+with an absolute error of a few unit roundoffs times the prefix sums at
+the upper bound.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .polynomials import (
     poly_trim,
     signature,
 )
-from .rational_sieve import NormIndex, WeightedSum, default_table
+from .rational_sieve import NormIndex, default_table
 
 __all__ = [
-    "StreamEntry",
+    "WeightedSum",
     "CubicFixture",
     "NumberField",
     "parse_poly",
@@ -58,14 +58,13 @@ _NO_NORMS = NormIndex([], [])
 
 
 @dataclass(frozen=True)
-class StreamEntry:
-    """One prime-ideal power: norm = prime^(residue_degree * power)."""
+class WeightedSum:
+    """Value and bookkeeping of a weighted sum over prime ideals in (low, high]."""
 
-    prime: int
-    residue_degree: int
-    power: int
-    norm: int
-    weight: float
+    value: float
+    term_count: int
+    low: float
+    high: float
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,6 @@ class NumberField:
         self._stream_lock = threading.RLock()
         self._built_to = 0
         self._prime_index = self._power_index = _NO_NORMS
-        self._entry_rows = []
-
-    @classmethod
-    def from_string(cls, text: str, disc: int | None = None) -> "NumberField":
-        return cls(parse_poly(text), disc=disc)
 
     def __repr__(self):
         return f"NumberField({list(self.coeffs)})"
@@ -308,7 +302,6 @@ class NumberField:
                         norm *= norm_p
                         m += 1
             rows.sort()
-            self._entry_rows = rows
             self._power_index = NormIndex([r[0] for r in rows], [r[4] for r in rows])
             first = [r for r in rows if r[3] == 1]
             self._prime_index = NormIndex([r[0] for r in first], [r[4] for r in first])
@@ -319,18 +312,6 @@ class NumberField:
         with self._stream_lock:
             self._ensure_stream(x)
             return self._prime_index, self._power_index
-
-    def ideal_lambda_stream(self, x: float):
-        """Prime-ideal powers of norm <= x, sorted by norm, with Lambda weights."""
-        if x < 2:
-            return []
-        self._ensure_stream(x)
-        out = []
-        for norm, p, fdeg, m, w in self._entry_rows:
-            if norm > x:
-                break
-            out.append(StreamEntry(p, fdeg, m, norm, w))
-        return out
 
     def prime_ideal_weighted_sum(self, T: float, cT: float) -> WeightedSum:
         """Sum of log(Np) log(cT/Np) over prime ideals with T < Np <= cT."""
@@ -346,13 +327,6 @@ class NumberField:
             return 0.0
         _, powers = self.norm_indexes(A)
         return float(powers.short_sum(A))
-
-    def field_chebyshev_psi(self, x: float) -> float:
-        """Sum of Lambda over ideal powers of norm <= x."""
-        if x < 2:
-            return 0.0
-        _, powers = self.norm_indexes(x)
-        return float(powers.psi(x))
 
     # ------------------------------------------------------------------
     # geometry

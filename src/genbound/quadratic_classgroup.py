@@ -517,12 +517,17 @@ def _prime_form(disc: int, p: int):
     sym = kronecker(disc, p)
     if sym == -1:
         return "inert", None
-    # for a split p the other root, 2p - b, gives the inverse class
-    roots = _square_roots(disc, {p: p})(p)
-    if not roots:
+    if p == 2:
+        b = next((b for b in range(4) if (b * b - disc) % 8 == 0), 0)
+    else:
+        # b is a root r of disc modulo p, lifted to b = disc (mod 2); for a
+        # split p the other root, p - r, gives the inverse class
+        r = _sqrt_mod_prime(disc % p, p) if sym else 0
+        b = min(x if (x - disc) % 2 == 0 else x + p for x in (r, p - r))
+    c, rem = divmod(b * b - disc, 4 * p)
+    if rem:
         raise ArithmeticInvariantError(f"no form of leading coefficient {p} despite kronecker {sym}")
-    b = min(roots)
-    return ("ramified" if sym == 0 else "split"), (p, b, (b * b - disc) // (4 * p))
+    return ("ramified" if sym == 0 else "split"), (p, b, c)
 
 
 def prime_class(disc: int, p: int) -> PrimeClassInfo:

@@ -1,5 +1,6 @@
-"""Micro-benchmarks of single layers: the generic criterion and the
-quadratic class group, one stage each.
+"""Micro-benchmarks of single layers: the number field's norm indexes,
+the exact and generic criteria and the quadratic class group, one stage
+each.
 
 Not collected by the tier-1 run (the file name does not match test_*.py);
 run it by path with pytest-benchmark installed:
@@ -7,7 +8,11 @@ run it by path with pytest-benchmark installed:
     python -m pytest tests/bench_layers.py
     python -m pytest tests/bench_layers.py --benchmark-disable  # smoke test, one call each
 
-Stages: one generic array evaluation over the 65 candidate scales,
+Stages: a fresh NumberField and its norm indexes (built with split_prime)
+at targets 64 and 2048, for the census-size quadratic field of
+d = -100 003 and for the cubic fixture x^3 - x - 1 of |disc| 23; one
+eval_exact and minimal_T_exact on that quadratic field, its indexes
+already built; one generic array evaluation over the 65 candidate scales,
 minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
 and loglog_disc_threshold(2); class_group built afresh at d = -999 983 and
 at d = -17 927 (h = 140, 2 and 3 split), one composition of two of its
@@ -28,14 +33,45 @@ from genbound.criteria_engine import (  # noqa: E402
     _generic_margin,
     _generic_terms,
     _scales,
+    eval_exact,
     eval_generic,
     loglog_disc_threshold,
+    minimal_T_exact,
     minimal_T_generic,
 )
+from genbound.number_field import NumberField  # noqa: E402
 from genbound.quadratic_classgroup import class_group, generated_by_primes_up_to  # noqa: E402
 
 # a log disc past every degree's threshold, where every signature is bounded
 LOG_DISC = 2.0e5
+
+# x^2 - x + 25001, of discriminant -100 003, in the census range; and the
+# cubic fixture of discriminant -23
+QUADRATIC = (25_001, -1, 1)
+CUBIC = (-1, -1, 0, 1)
+
+
+@pytest.mark.parametrize("coeffs", [QUADRATIC, CUBIC], ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("target", [64, 2048])
+def test_norm_indexes(benchmark, coeffs, target):
+    def build():
+        return NumberField(coeffs).norm_indexes(target)
+
+    primes, powers = benchmark(build)
+    assert powers.norms.size >= primes.norms.size > 0 and powers.norms[-1] <= target
+
+
+def test_eval_exact(benchmark):
+    field = NumberField(QUADRATIC)
+    report = minimal_T_exact(field)
+    cfg = TestConfig(report.T_bound, report.c_used)
+    assert benchmark(eval_exact, field, cfg) == report.evaluation
+
+
+def test_minimal_T_exact(benchmark):
+    field = NumberField(QUADRATIC)
+    minimal_T_exact(field)
+    assert benchmark(minimal_T_exact, field).evaluation.passed
 
 
 def test_generic_array_evaluation(benchmark):

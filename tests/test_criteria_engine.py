@@ -1,12 +1,15 @@
 """Exact and generic criteria and their solvers, against scalar references.
 
 The exact reference scans (T, c) in the solver's order, one point at a
-time, and takes every field sum by math.fsum over ideal_lambda_stream; the
-solver evaluates whole blocks of the grid from prefix sums. Both must pick
-the same (T, c), and the prefix sums must match the fsum values on random
-windows. The generic reference searches each scale c on its own with one
-eval_generic call per point; the solver runs all scales in lockstep on
-numpy arrays, and both must give the same (T, c) and evaluation.
+time, and takes every field sum by math.fsum over the prime-ideal powers
+that ideal_stream enumerates from split_prime; the solver evaluates whole
+blocks of the grid from prefix sums. Both must pick the same (T, c), and
+the prefix sums must match the fsum values on random windows. The generic
+reference searches each scale c on its own with one eval_generic call per
+point; the solver runs all scales in lockstep on numpy arrays, and both
+must give the same (T, c) and evaluation. Where the generic criterion,
+which bounds the field sums by majorants, passes, the exact one must pass
+at the same (T, c).
 """
 
 import bisect
@@ -40,7 +43,9 @@ from genbound.criteria_engine import (
 from genbound.errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
 from genbound.number_field import NumberField, load_cubic_fixtures
 from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
-from genbound.rational_sieve import TWO_PI, default_table, majorant_terms, weighted_sum_majorant
+from genbound.rational_sieve import TWO_PI, NormIndex, majorant_coefficients, scale_majorant
+
+from ideal_stream import ideal_powers, rational_prime_powers
 
 # a difference of prefix sums errs by a few unit roundoffs of the prefix
 # sums it cancels; this bound, relative to their size, leaves room for
@@ -53,12 +58,12 @@ def quadratic_field(d):
 
 
 class FsumSums:
-    """Field sums by math.fsum over the ideal stream up to a fixed norm."""
+    """Field sums by math.fsum over the prime-ideal powers up to a fixed norm."""
 
     def __init__(self, field, x):
-        stream = field.ideal_lambda_stream(x)
-        self.all = [(e.norm, e.weight) for e in stream]
-        self.primes = [(e.norm, e.weight) for e in stream if e.power == 1]
+        rows = ideal_powers(field, x)
+        self.all = [(norm, w) for norm, _, _, _, w in rows]
+        self.primes = [(norm, w) for norm, _, _, m, w in rows if m == 1]
         self.all_norms = [n for n, _ in self.all]
         self.prime_norms = [n for n, _ in self.primes]
 
@@ -154,14 +159,13 @@ def test_prefix_sums_match_fsum(coeffs):
         assert abs(got - sums.window(T, cT)) <= PREFIX_REL_TOL * math.log(cT) * psi
         # W(A)/A and WI(A) are both at most psi(A)
         assert abs(K.short_ideal_sum(cT) - sums.short(cT)) <= PREFIX_REL_TOL * psi
-        assert K.field_chebyshev_psi(cT) == pytest.approx(psi, rel=PREFIX_REL_TOL)
 
 
 def test_sieve_prefix_sums_match_fsum():
-    table = default_table()
-    table.chebyshev_psi(80_000)
-    norms = table.pp_norms.tolist()
-    logs = table.pp_logs.tolist()
+    # a NormIndex over the rational prime powers, up to norms 20 times
+    # those of a field window, still within the prefix-sum tolerance
+    norms, logs = map(list, zip(*rational_prime_powers(80_000)))
+    index = NormIndex(norms, logs)
     rng = random.Random(5)
     for _ in range(100):
         T = rng.uniform(1.0, 20_000.0)
@@ -169,10 +173,8 @@ def test_sieve_prefix_sums_match_fsum():
         lo, hi = bisect.bisect_right(norms, T), bisect.bisect_right(norms, cT)
         psi = math.fsum(logs[:hi])
         want = math.fsum(w * (math.log(cT) - math.log(n)) for n, w in zip(norms[lo:hi], logs[lo:hi]))
-        ws = table.weighted_lambda_sum(T, cT)
-        assert ws.term_count == hi - lo
-        assert abs(ws.value - want) <= PREFIX_REL_TOL * math.log(cT) * psi
-        assert table.chebyshev_psi(cT) == pytest.approx(psi, rel=PREFIX_REL_TOL)
+        assert index.rank(cT) - index.rank(T) == hi - lo
+        assert abs(index.window_sum(T, cT) - want) <= PREFIX_REL_TOL * math.log(cT) * psi
 
 
 def test_array_queries_match_scalar_queries():
@@ -357,14 +359,42 @@ def test_generic_size_bound_dominates(degree):
 
 
 def test_generic_majorant_terms_come_from_the_sieve():
-    shape = FieldShape(4, 0, 50.0)
-    ev = eval_generic(shape, TestConfig(2000.0, 1.2))
-    terms = dict(ev.rhs_terms)
-    linear, log_sq = majorant_terms(2000.0, 1.2, 4)
-    assert (terms["majorant_linear"], terms["majorant_log_sq"]) == (linear, log_sq)
-    # the sieve's majorant is their sum per 2 / sqrt(T)
-    assert weighted_sum_majorant(2000.0, 1.2, 4) == pytest.approx(
-        0.5 * math.sqrt(2000.0) * (linear + log_sq), rel=1e-15)
+    # test_rational_sieve checks these terms against the closed form
+    for n in (3, 4):
+        shape = FieldShape(n, n % 2, 100.0)
+        for T in (73.2, 100.0, 500.0, 2000.0, 20000.0):
+            for c in (1.05, 1.25, 2.0, 3.0):
+                terms = dict(eval_generic(shape, TestConfig(T, c)).rhs_terms)
+                want = scale_majorant(*majorant_coefficients(c, n), math.sqrt(T), math.log(c * T))
+                assert (terms["majorant_linear"], terms["majorant_log_sq"]) == want, (n, T, c)
+
+
+# fundamental discriminants of both signs near 10^5, 10^6 and 10^7, where
+# the generic criterion passes on part of [floor, 4 log^2 disc]
+IMPLIED_DISCS = [100_001, -100_003, 1_000_001, -1_000_003, 10_000_001, -10_000_003, -9_999_991]
+
+
+def test_generic_pass_implies_exact_pass():
+    # the generic criterion bounds the field's window and short sums by
+    # majorants, so wherever it passes the exact one passes at the same (T, c)
+    fields = [quadratic_field(d) for d in IMPLIED_DISCS]
+    # only the cubic fixture of |disc| 76 has 4 log^2 disc above the floor 73.2
+    fields += [NumberField(fx.coeffs) for fx in load_cubic_fixtures()]
+    rng = random.Random(11)
+    generic_passes = 0
+    for K in fields:
+        shape = FieldShape.of_field(K)
+        t_cap = 4.0 * shape.log_disc ** 2
+        for _ in range(100):
+            c = rng.choice(_candidate_scales(shape.degree))
+            t_lo = _generic_floor(shape, c, False)
+            if t_lo > t_cap:
+                continue
+            cfg = TestConfig(rng.uniform(t_lo, t_cap), c)
+            if eval_generic(shape, cfg).passed:
+                generic_passes += 1
+                assert eval_exact(K, cfg).passed, (K, cfg)
+    assert generic_passes > 250
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Number-field layer: parsing, certification, splitting, ideal streams.
+"""Number-field layer: parsing, certification, splitting, norm indexes.
 
-Splitting shapes and stream contents are frozen against hand-worked
-factorizations (quadratic residues, Eisenstein ramification); weighted sums
-are cross-checked by direct enumeration over the same splitting data.
+Splitting shapes and the norms and weights of the prime-ideal powers are
+frozen against hand-worked factorizations (quadratic residues, Eisenstein
+ramification). The field's two NormIndexes must equal, bit for bit, the
+indexes built from the direct enumeration of ideal_stream over the same
+splitting data, and weighted sums are cross-checked against hand sums.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from genbound.arith import is_probable_prime
@@ -22,7 +25,10 @@ from genbound.number_field import (
     parse_poly,
 )
 from genbound.polynomials import gf_factor_shape
-from genbound.rational_sieve import chebyshev_psi
+from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
+from genbound.rational_sieve import NormIndex
+
+from ideal_stream import ideal_powers
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -176,43 +182,80 @@ def test_split_rejects_composite():
 
 
 # ----------------------------------------------------------------------
-# ideal stream
+# norm indexes
 # ----------------------------------------------------------------------
+def up_to(index, x):
+    """Norms and weights of an index's entries of norm <= x."""
+    k = index.rank(x)
+    return index.norms[:k].tolist(), np.diff(index._w[: k + 1]).tolist()
+
+
 def test_stream_frozen_small():
-    K = NumberField([5, 0, 1])
-    st = K.ideal_lambda_stream(9)
-    assert [(e.norm, e.prime, e.residue_degree, e.power) for e in st] == [
-        (2, 2, 1, 1), (3, 3, 1, 1), (3, 3, 1, 1), (4, 2, 1, 2), (5, 5, 1, 1),
-        (7, 7, 1, 1), (7, 7, 1, 1), (8, 2, 1, 3), (9, 3, 1, 2), (9, 3, 1, 2),
-    ]
-    weights = [e.weight for e in st]
+    primes, powers = NumberField([5, 0, 1]).norm_indexes(9)
+    norms, weights = up_to(powers, 9)
+    assert norms == [2, 3, 3, 4, 5, 7, 7, 8, 9, 9]
     expected = [LOG2, LOG3, LOG3, LOG2, LOG5, LOG7, LOG7, LOG2, LOG3, LOG3]
-    assert weights == pytest.approx(expected, rel=1e-14)
+    assert weights == pytest.approx(expected, rel=1e-13)
+    # the prime ideals are the first powers: 2, the two above 3, 5 and the two above 7
+    norms, weights = up_to(primes, 9)
+    assert norms == [2, 3, 3, 5, 7, 7]
+    assert weights == pytest.approx([LOG2, LOG3, LOG3, LOG5, LOG7, LOG7], rel=1e-13)
 
 
 def test_stream_gaussian():
-    K = NumberField([1, 0, 1])
-    st = K.ideal_lambda_stream(5)
-    assert [(e.norm, e.weight) for e in st] == pytest.approx(
-        [(2, LOG2), (4, LOG2), (5, LOG5), (5, LOG5)]
-    )
-    # inert prime enters at its square norm with the doubled weight
-    st9 = K.ideal_lambda_stream(9)
-    assert (9, 2, 1) in {(e.norm, e.residue_degree, e.power) for e in st9}
-    nine = [e for e in st9 if e.norm == 9 and e.prime == 3]
-    assert len(nine) == 1 and nine[0].weight == pytest.approx(2 * LOG3)
+    primes, powers = NumberField([1, 0, 1]).norm_indexes(9)
+    norms, weights = up_to(powers, 5)
+    assert norms == [2, 4, 5, 5]
+    assert weights == pytest.approx([LOG2, LOG2, LOG5, LOG5], rel=1e-13)
+    # inert 3 enters at its square norm, once, with the doubled weight
+    norms, weights = up_to(primes, 9)
+    assert norms == [2, 5, 5, 9]
+    assert weights[-1] == pytest.approx(2 * LOG3, rel=1e-13)
+    assert up_to(powers, 9)[0] == [2, 4, 5, 5, 8, 9]
 
 
 def test_stream_growth_consistent():
     K = NumberField([5, 0, 1])
-    small = K.ideal_lambda_stream(9)
-    big = K.ideal_lambda_stream(200)
-    assert big[: len(small)] == small
-    assert all(e.norm <= 200 for e in big)
+    small = K.norm_indexes(9)  # built to 64
+    big = K.norm_indexes(200)
+    for old, new in zip(small, big):
+        k = old.norms.size
+        assert new.rank(64) == k and new.norms.max() <= 200
+        assert np.array_equal(new.norms[:k], old.norms)
+        assert np.array_equal(new._w[: k + 1], old._w)
+    assert big == K.norm_indexes(150)  # complete to 200 already, not rebuilt
 
 
 def test_stream_below_two():
-    assert NumberField([5, 0, 1]).ideal_lambda_stream(1.5) == []
+    K = NumberField([5, 0, 1])
+    assert [index.rank(1.5) for index in K.norm_indexes(1.5)] == [0, 0]
+    assert K.short_ideal_sum(1.5) == 0.0
+
+
+def reference_indexes(field, x):
+    """The prime and power indexes built from the direct enumeration."""
+    rows = ideal_powers(field, x)
+    first = [r for r in rows if r[3] == 1]
+    return tuple(NormIndex([r[0] for r in part], [r[4] for r in part]) for part in (first, rows))
+
+
+def quadratic_field(d):
+    return NumberField([(1 - d) // 4, -1, 1] if d % 4 == 1 else [-(d // 4), 0, 1])
+
+
+def test_norm_indexes_match_reference():
+    # fields are made one at a time, so that only one holds its indexes
+    polys = [quadratic_field(d).coeffs for d in enumerate_fundamental_discriminants(3000)]
+    polys += [fx.coeffs for fx in load_cubic_fixtures()]
+    assert len(polys) == 1826
+    for coeffs in polys:
+        K = NumberField(coeffs)
+        # 64 is the first build; 3100 regrows past twice that
+        for x in (64, 3100):
+            for got, want in zip(K.norm_indexes(x), reference_indexes(K, x)):
+                assert np.array_equal(got.norms, want.norms), (K, x)
+                for name in ("_w", "_wl", "_wi"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (K, x, name)
 
 
 def test_weighted_tail_sum():
@@ -234,13 +277,6 @@ def test_short_ideal_sum():
     for A in (2, 10, 100, 1000):
         assert K.short_ideal_sum(A) <= 0.0
     assert K.short_ideal_sum(1.5) == 0.0
-
-
-def test_field_psi():
-    K = NumberField([1, 0, 1])
-    assert K.field_chebyshev_psi(5) == pytest.approx(2 * LOG2 + 2 * LOG5, rel=1e-13)
-    # field psi is at most n times the rational psi
-    assert K.field_chebyshev_psi(1000) <= 2 * chebyshev_psi(1000) + 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Sieve table, psi, weighted prime-power sums, and the sqrt-accurate scan.
+"""Sieve table, NormIndex sums over the rational prime powers, and the
+premises of the rational majorant.
 
-Oracles here are deliberately naive: trial-division prime powers, direct
-enumeration of weighted sums, and an exact piecewise integral for the
-partial-summation identity. The fast table must agree with all of them, and
-a table grown in many steps must agree with one sieved in a single step.
+Oracles here are deliberately naive: trial-division primes and prime
+powers (ideal_stream), direct enumeration of weighted sums, and an exact
+piecewise integral for the partial-summation identity. The sieve's primes
+must agree with trial division, and a table grown in many steps with one
+sieved in a single step. A NormIndex over the prime powers must agree with
+the direct sums. The premise tests check, over the prime powers, what the
+generic criterion's closed-form majorant rests on: the square-root bound
+for psi from 73.2 on, and the majorant's domination of the weighted sum.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -15,14 +21,20 @@ import numpy as np
 import pytest
 
 from genbound import rational_sieve
+from genbound.criteria_engine import FieldShape, TestConfig, eval_generic
 from genbound.errors import PreconditionError, SieveCapacityError
 from genbound.rational_sieve import (
     MAX_LIMIT,
     SCHOENFELD_FLOOR,
+    NormIndex,
     SieveTable,
     default_table,
-    weighted_sum_majorant,
+    majorant_coefficients,
+    scale_majorant,
 )
+
+import ideal_stream
+from ideal_stream import rational_prime_powers
 
 PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
@@ -31,8 +43,10 @@ PRIMES_BELOW_100 = [
 
 
 @pytest.fixture(scope="module")
-def table():
-    return SieveTable()
+def index():
+    """NormIndex over the rational prime powers up to 10^5, weights log p."""
+    norms, logs = zip(*rational_prime_powers(100_000))
+    return NormIndex(norms, logs)
 
 
 def lambda_of(a):
@@ -53,6 +67,22 @@ def naive_psi(x):
     return sum(lambda_of(a) for a in range(2, math.floor(x) + 1))
 
 
+def psi(x):
+    """Chebyshev psi from the sieve's primes: log p once per power p^k <= x."""
+    terms = []
+    for p in default_table().primes_up_to(x).tolist():
+        q = p
+        while q <= x:
+            terms.append(math.log(p))
+            q *= p
+    return math.fsum(terms)
+
+
+def closed_form_majorant(T, c, n):
+    """n (c-1-log c) T + n (c-1)/(4 pi) sqrt(T) log^2(cT)."""
+    return n * (c - 1 - math.log(c)) * T + n * (c - 1) / (4 * math.pi) * math.sqrt(T) * math.log(c * T) ** 2
+
+
 # ----------------------------------------------------------------------
 # primes and prime powers
 # ----------------------------------------------------------------------
@@ -60,36 +90,36 @@ def test_primes_small():
     t = SieveTable()
     assert t.primes_up_to(100).tolist() == PRIMES_BELOW_100
     assert t.primes_up_to(1.5).tolist() == []
+    assert t.primes_up_to(100_000).tolist() == list(ideal_stream.primes_up_to(100_000))
 
 
-def test_prime_power_arrays(table):
-    table.chebyshev_psi(200)
-    norms = table.pp_norms
+def test_prime_power_arrays(index):
+    norms = index.norms
     assert np.all(np.diff(norms) > 0)
+    weights = np.diff(index._w)
     for q, p in [(4, 2), (8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (121, 11)]:
         i = np.searchsorted(norms, q)
         assert norms[i] == q
-        assert table.pp_logs[i] == pytest.approx(math.log(p), rel=1e-15)
+        assert weights[i] == pytest.approx(math.log(p), rel=1e-12)
     # 6 and 12 are not prime powers
     for a in (6, 12, 100):
         i = np.searchsorted(norms, a)
         assert norms[i] != a
+    assert rational_prime_powers(200) == [
+        (a, lambda_of(a)) for a in range(2, 201) if lambda_of(a) > 0]
 
 
 def test_limit_validation():
     t = SieveTable()
-    t.chebyshev_psi(1000)
+    t.primes_up_to(1000)
     limit = t.limit
-    for query in (
-        lambda: t.primes_up_to(MAX_LIMIT + 1),
-        lambda: t.chebyshev_psi(MAX_LIMIT + 1),
-        lambda: t.chebyshev_psi(1e12),
-        lambda: t.weighted_lambda_sum(10, MAX_LIMIT + 1),
-        lambda: t.schoenfeld_check(MAX_LIMIT + 1),
-    ):
+    for x in (MAX_LIMIT + 1, 1e12):
         with pytest.raises(SieveCapacityError):
-            query()
+            t.primes_up_to(x)
     assert t.limit == limit
+    # the table grows past its old fixed limit of 300 000: pi(400 000) = 33 860
+    assert t.primes_up_to(400_000).size == 33_860
+    assert t.limit == 400_000
 
 
 # ----------------------------------------------------------------------
@@ -97,31 +127,24 @@ def test_limit_validation():
 # ----------------------------------------------------------------------
 def test_growth_in_steps_matches_single_build():
     whole = SieveTable()
-    whole.chebyshev_psi(300_000)
+    whole.primes_up_to(300_000)
     assert whole.limit == 300_000
     grown = SieveTable()
-    windows = [(2, 10), (50, 64), (100, 350.5), (1000, 4000), (20_000, 70_000), (100_000, 300_000)]
     limits = []
     for x in (64, 65, 200, 70_000, 140_000, 300_000):
-        grown.chebyshev_psi(x)
+        grown.primes_up_to(x)
         limits.append(grown.limit)
         for y in (10, 64, x / 3, x):
-            assert grown.chebyshev_psi(y) == whole.chebyshev_psi(y)
-        for T, cT in windows:
-            if cT <= x:
-                assert grown.weighted_lambda_sum(T, cT) == whole.weighted_lambda_sum(T, cT)
+            assert np.array_equal(grown.primes_up_to(y), whole.primes_up_to(y))
     # each query re-sieves to the larger of itself and twice the limit
     assert limits == [64, 128, 256, 70_000, 140_000, 300_000]
     assert np.array_equal(grown.primes, whole.primes)
-    assert np.array_equal(grown.pp_norms, whole.pp_norms)
-    assert np.array_equal(grown.pp_logs, whole.pp_logs)
-    assert SieveTable().schoenfeld_check(100_000) == whole.schoenfeld_check(100_000)
 
 
 def test_concurrent_growth():
     reference = SieveTable()
     points = [1000 * k + 17 for k in range(1, 200, 7)]
-    want = dict(zip(points, (reference.chebyshev_psi(x) for x in points)))
+    want = {x: reference.primes_up_to(x).tolist() for x in points}
     orders = [points, points[::-1]] + [random.Random(k).sample(points, len(points)) for k in (1, 2)]
     shared = SieveTable()
     start = threading.Barrier(len(orders))
@@ -129,7 +152,7 @@ def test_concurrent_growth():
 
     def run(k):
         start.wait()
-        results[k] = {x: shared.chebyshev_psi(x) for x in orders[k]}
+        results[k] = {x: shared.primes_up_to(x).tolist() for x in orders[k]}
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(orders))]
     interval = sys.getswitchinterval()
@@ -162,8 +185,8 @@ def test_waiting_query_reuses_larger_build(monkeypatch):
     sieve_to = rational_sieve._sieve_to
     table = SieveTable()
     monkeypatch.setattr(rational_sieve, "_sieve_to", slow_sieve_to)
-    big = threading.Thread(target=table.chebyshev_psi, args=(10_000,))
-    small = threading.Thread(target=table.chebyshev_psi, args=(5_000,))
+    big = threading.Thread(target=table.primes_up_to, args=(10_000,))
+    small = threading.Thread(target=table.primes_up_to, args=(5_000,))
     big.start()
     assert building.wait(timeout=10)
     small.start()
@@ -182,35 +205,23 @@ def test_default_table_is_shared():
 
 
 # ----------------------------------------------------------------------
-# chebyshev psi
+# chebyshev psi from the sieve's primes
 # ----------------------------------------------------------------------
-def test_psi_at_ten(table):
+def test_psi_at_ten():
     expected = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
-    assert table.chebyshev_psi(10) == pytest.approx(expected, rel=1e-14)
+    assert psi(10) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(7.8320146, abs=1e-6)
 
 
-def test_psi_against_naive(table):
+def test_psi_against_naive():
     for x in [1, 2, 2.5, 3, 10, 29, 30, 97, 100, 243]:
-        assert table.chebyshev_psi(x) == pytest.approx(naive_psi(x), rel=1e-12, abs=1e-12)
-
-
-def test_psi_guards(table):
-    assert table.chebyshev_psi(0) == 0.0
-    with pytest.raises(ValueError):
-        table.chebyshev_psi(-1)
-    # the table grows past its old fixed limit of 300 000; psi(x) ~ x
-    assert table.chebyshev_psi(300_001) == pytest.approx(300_001, rel=0.01)
-    assert table.limit >= 300_001
-    with pytest.raises(SieveCapacityError):
-        table.chebyshev_psi(MAX_LIMIT + 1)
+        assert psi(x) == pytest.approx(naive_psi(x), rel=1e-12, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
-# weighted sums
+# NormIndex window sums over the prime powers
 # ----------------------------------------------------------------------
-def test_weighted_sum_ten_twenty(table):
-    ws = table.weighted_lambda_sum(10, 20)
+def test_weighted_sum_ten_twenty(index):
     # contributions at 11, 13, 16 = 2^4, 17, 19
     expected = sum(
         lam * math.log(20 / a)
@@ -222,93 +233,91 @@ def test_weighted_sum_ten_twenty(table):
             (19, math.log(19)),
         ]
     )
-    assert ws.value == pytest.approx(expected, rel=1e-13)
-    assert ws.term_count == 5
-    assert ws.value == pytest.approx(3.3046, abs=1e-4)
+    value = index.window_sum(10, 20)
+    assert value == pytest.approx(expected, rel=1e-13)
+    assert index.rank(20) - index.rank(10) == 5
+    assert value == pytest.approx(3.3046, abs=1e-4)
 
 
-def test_weighted_sum_against_naive(table):
+def test_weighted_sum_against_naive(index):
     for T, cT in [(2, 10), (10, 30), (50, 73.2), (73.2, 100), (100, 350.5)]:
-        ws = table.weighted_lambda_sum(T, cT)
         expected = sum(
             lambda_of(a) * math.log(cT / a)
             for a in range(math.floor(T) + 1, math.floor(cT) + 1)
             if a > T
         )
-        assert ws.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert index.window_sum(T, cT) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_weighted_sum_empty_window(table):
-    ws = table.weighted_lambda_sum(24, 25)  # no prime powers in (24, 25]? 25 = 5^2
-    assert ws.term_count == 1
-    ws2 = table.weighted_lambda_sum(20, 22)
-    assert ws2.term_count == 0 and ws2.value == 0.0
+def test_weighted_sum_empty_window(index):
+    assert index.rank(25) - index.rank(24) == 1  # 25 = 5^2
+    assert index.rank(22) - index.rank(20) == 0
+    assert index.window_sum(20, 22) == 0.0
 
 
-def test_weighted_sum_guards(table):
-    with pytest.raises(PreconditionError):
-        table.weighted_lambda_sum(10, 10)
-    with pytest.raises(PreconditionError):
-        table.weighted_lambda_sum(0.5, 10)
-    ws = table.weighted_lambda_sum(10, 400_000)
-    # pi(400 000) = 33 860 primes and 174 higher prime powers, less the 7 up to 10
-    assert ws.term_count == 33_860 + 174 - 7
-    assert table.limit >= 400_000
-    with pytest.raises(SieveCapacityError):
-        table.weighted_lambda_sum(10, MAX_LIMIT + 1)
-
-
-def test_partial_summation_identity(table):
+def test_partial_summation_identity(index):
     # sum of Lambda(a) log(cT/a) over (T, cT] equals the exact piecewise
     # integral of (psi(t) - psi(T))/t from T to cT
     for T, cT in [(10, 20), (30, 100), (73.2, 250), (500, 1234.5)]:
-        ws = table.weighted_lambda_sum(T, cT)
-        psi_T = table.chebyshev_psi(T)
+        psi_T = psi(T)
         jumps = [a for a in range(math.floor(T) + 1, math.floor(cT) + 1)
                  if lambda_of(a) > 0 and a > T]
         integral = 0.0
         points = [T] + jumps + [cT]
         for left, right in zip(points[:-1], points[1:]):
-            integral += (table.chebyshev_psi(left) - psi_T) * math.log(right / left)
-        assert ws.value == pytest.approx(integral, rel=1e-10, abs=1e-10)
+            integral += (psi(left) - psi_T) * math.log(right / left)
+        assert index.window_sum(T, cT) == pytest.approx(integral, rel=1e-10, abs=1e-10)
 
 
 # ----------------------------------------------------------------------
 # majorant
 # ----------------------------------------------------------------------
-def test_majorant_dominates_rational_sum(table):
+def test_majorant_dominates_rational_sum(index):
     for T in (73.2, 100.0, 500.0, 2000.0, 20000.0):
         for c in (1.05, 1.25, 2.0, 3.0):
-            ws = table.weighted_lambda_sum(T, c * T)
-            assert ws.value <= weighted_sum_majorant(T, c, 1)
+            assert index.window_sum(T, c * T) <= closed_form_majorant(T, c, 1)
+
+
+def library_majorant(T, c, n):
+    """The majorant from the library's two terms, times sqrt(T)/2."""
+    linear, log_sq = scale_majorant(*majorant_coefficients(c, n), math.sqrt(T), math.log(c * T))
+    return 0.5 * math.sqrt(T) * (linear + log_sq)
 
 
 def test_majorant_scales_linearly_in_degree():
-    one = weighted_sum_majorant(100.0, 1.5, 1)
-    assert weighted_sum_majorant(100.0, 1.5, 3) == pytest.approx(3 * one, rel=1e-14)
+    one = library_majorant(100.0, 1.5, 1)
+    assert library_majorant(100.0, 1.5, 3) == pytest.approx(3 * one, rel=1e-14)
+    # the generic criterion's two majorant terms are these library terms
+    # (test_criteria_engine); together, per sqrt(T)/2, they are the closed form
+    for n in (1, 3, 4):
+        for T in (73.2, 100.0, 500.0, 2000.0, 20000.0):
+            for c in (1.05, 1.25, 2.0, 3.0):
+                assert library_majorant(T, c, n) == pytest.approx(closed_form_majorant(T, c, n), rel=1e-14)
 
 
 def test_majorant_guards():
+    # the majorant vanishes with its window at c = 1, and the generic
+    # criterion that uses it refuses T below the floor of the psi bound
+    assert majorant_coefficients(1.0, 4) == (0.0, 0.0)
+    shape = FieldShape(4, 0, 50.0)
     with pytest.raises(PreconditionError):
-        weighted_sum_majorant(50.0, 1.5, 1)
-    with pytest.raises(PreconditionError):
-        weighted_sum_majorant(100.0, 0.99, 1)
-    assert weighted_sum_majorant(SCHOENFELD_FLOOR, 1.0, 1) == 0.0
+        eval_generic(shape, TestConfig(SCHOENFELD_FLOOR - 0.1, 1.5))
+    assert eval_generic(shape, TestConfig(SCHOENFELD_FLOOR, 1.5)).criterion_id == "generic"
 
 
 # ----------------------------------------------------------------------
 # sqrt-accurate psi scan
 # ----------------------------------------------------------------------
-def test_schoenfeld_scan(table):
-    report = table.schoenfeld_check(100_000)
-    assert report.min_margin > 0.0
-    assert report.scanned > 9000
-    assert lambda_of(report.argmin) > 0.0
-    u = report.argmin
-    margin = u + math.sqrt(u) * math.log(u) ** 2 / (4 * math.pi) - table.chebyshev_psi(u)
-    assert report.min_margin == pytest.approx(margin, rel=1e-12)
-
-
-def test_schoenfeld_empty_scan(table):
-    with pytest.raises(PreconditionError):
-        table.schoenfeld_check(73)
+def test_schoenfeld_scan():
+    # psi(u) <= u + sqrt(u) log^2 u / (4 pi) at every prime power u in
+    # [73.2, 10^5]: psi jumps there, so the margin is least at those points
+    powers = rational_prime_powers(100_000)
+    psi_u = itertools.accumulate(w for _, w in powers)
+    margins = [(u + math.sqrt(u) * math.log(u) ** 2 / (4 * math.pi) - p, u)
+               for (u, _), p in zip(powers, psi_u) if u >= SCHOENFELD_FLOOR]
+    assert len(margins) > 9000
+    min_margin, argmin = min(margins)
+    assert min_margin > 0.0
+    assert lambda_of(argmin) > 0.0
+    assert min_margin == pytest.approx(
+        argmin + math.sqrt(argmin) * math.log(argmin) ** 2 / (4 * math.pi) - naive_psi(argmin), rel=1e-12)
