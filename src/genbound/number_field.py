@@ -6,13 +6,23 @@ prime, splitting types of rational primes, the prime-ideal powers with
 their von Mangoldt weights, and the Minkowski bound. Splitting at a prime
 whose index status cannot be certified raises rather than guessing.
 
-The prime-ideal powers are built from split_prime and kept only as two
-prefix-sum indexes (rational_sieve.NormIndex): one over the prime ideals,
-for the window sum over (T, cT], and one over all prime-ideal powers, for
-the short sum. Each sum is two binary searches and a difference of prefix
-sums, for scalar bounds or numpy arrays of them; the difference cancels,
-with an absolute error of a few unit roundoffs times the prefix sums at
-the upper bound.
+A quadratic field reads everything from a discriminant: its signature
+from the sign of the polynomial's, and, once the field discriminant D is
+known, the splitting of every p from D alone (ramified iff p | D,
+otherwise split or inert by the Kronecker symbol (D|p)). A field of
+higher degree takes its signature from a Sturm chain. It, and a quadratic
+field whose D is unknown, take the splitting from factoring the
+polynomial over GF(p): distinct-degree factoring where p does not divide
+the polynomial discriminant, the full factorization shape where
+Dedekind's criterion certifies that p does not divide the index.
+
+The prime-ideal powers are built from these splitting types and kept
+only as two prefix-sum indexes (rational_sieve.NormIndex): one over the
+prime ideals, for the window sum over (T, cT], and one over all
+prime-ideal powers, for the short sum. Each sum is two binary searches
+and a difference of prefix sums, for scalar bounds or numpy arrays of
+them; the difference cancels, with an absolute error of a few unit
+roundoffs times the prefix sums at the upper bound.
 """
 
 from __future__ import annotations
@@ -180,8 +190,13 @@ class NumberField:
             raise UnsupportedRepresentationError("degree must be at least 2")
         self.coeffs = tuple(coeffs)
         self.irreducibility_certificate = _certify_irreducible(coeffs)
-        self.r1, self.r2 = signature(coeffs)
         self.disc_defining = discriminant(coeffs)
+        if self.degree == 2:
+            # an irreducible quadratic has real roots exactly when its
+            # discriminant is positive
+            self.r1, self.r2 = (2, 0) if self.disc_defining > 0 else (0, 1)
+        else:
+            self.r1, self.r2 = signature(coeffs)
         self._dedekind_memo = {}
         self._split_memo = {}
         certified = self._certify_field_disc()
@@ -201,6 +216,11 @@ class NumberField:
     # discriminant certification
     # ------------------------------------------------------------------
     def _dedekind(self, p: int) -> bool:
+        """True when p is certified not to divide the index."""
+        # disc_defining = index^2 * field disc, so an index prime has its
+        # square in disc_defining
+        if self.disc_defining % (p * p):
+            return True
         if p not in self._dedekind_memo:
             self._dedekind_memo[p] = dedekind_index_certified(list(self.coeffs), p)
         return self._dedekind_memo[p]
@@ -250,31 +270,32 @@ class NumberField:
     # ------------------------------------------------------------------
     def split_prime(self, p: int):
         """Splitting type of p as a sorted list of (e, f) pairs, one per prime ideal."""
+        if p < 2 or not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return self._shape(p)
+
+    def _shape(self, p: int):
+        """split_prime for a p already known to be prime; memoised."""
         memo = self._split_memo
         if p in memo:
             return memo[p]
-        if p < 2 or not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        f = list(self.coeffs)
-        if self.disc_defining % p != 0:
-            if self.degree == 2:
-                # p does not divide the index, and (disc_defining|p) = (D|p)
-                shape = _quadratic_shape(self.disc_defining, p)
-            else:
+        if self.degree == 2 and self._field_disc is not None:
+            shape = _quadratic_shape(self._field_disc, p)
+        else:
+            f = list(self.coeffs)
+            if self.disc_defining % p:
                 shape = sorted(
                     (1, d) for prod, d in gf_distinct_degree(gf_normalize(f, p), p)
                     for _ in range((len(prod) - 1) // d)
                 )
-        elif self._dedekind(p):
-            shape = gf_factor_shape(f, p)
-        elif self.degree == 2 and self._field_disc is not None:
-            shape = _quadratic_shape(self._field_disc, p)
-        else:
-            raise SplittingUnavailableError(p)
-        if sum(e * d for e, d in shape) != self.degree:
-            raise SplittingUnavailableError(
-                p, f"splitting type {shape} at p={p} does not add up to degree {self.degree}"
-            )
+            elif self._dedekind(p):
+                shape = gf_factor_shape(f, p)
+            else:
+                raise SplittingUnavailableError(p)
+            if sum(e * d for e, d in shape) != self.degree:
+                raise SplittingUnavailableError(
+                    p, f"splitting type {shape} at p={p} does not add up to degree {self.degree}"
+                )
         memo[p] = shape
         return shape
 
@@ -288,9 +309,8 @@ class NumberField:
             target = int(max(math.ceil(x), 2 * self._built_to, 64))
             primes = default_table().primes_up_to(target)
             rows = []
-            for p in primes:
-                p = int(p)
-                for e, fdeg in self.split_prime(p):
+            for p in primes.tolist():
+                for e, fdeg in self._shape(p):
                     norm_p = p ** fdeg
                     if norm_p > target:
                         continue

@@ -8,9 +8,10 @@ run it by path with pytest-benchmark installed:
     python -m pytest tests/bench_layers.py
     python -m pytest tests/bench_layers.py --benchmark-disable  # smoke test, one call each
 
-Stages: a fresh NumberField and its norm indexes (built with split_prime)
-at targets 64 and 2048, for the census-size quadratic field of
-d = -100 003 and for the cubic fixture x^3 - x - 1 of |disc| 23; one
+Stages: the construction of the census-size quadratic field of
+d = -100 003 alone; a fresh NumberField and its norm indexes at targets 64
+and 2048, for that field and for the cubic fixture x^3 - x - 1 of
+|disc| 23; one
 eval_exact and minimal_T_exact on that quadratic field, its indexes
 already built; one generic array evaluation over the 65 candidate scales,
 minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
@@ -49,6 +50,10 @@ LOG_DISC = 2.0e5
 # cubic fixture of discriminant -23
 QUADRATIC = (25_001, -1, 1)
 CUBIC = (-1, -1, 0, 1)
+
+
+def test_construct_quadratic(benchmark):
+    assert benchmark(NumberField, QUADRATIC).field_disc == -100_003
 
 
 @pytest.mark.parametrize("coeffs", [QUADRATIC, CUBIC], ids=["quadratic", "cubic"])

@@ -2,10 +2,19 @@
 independent reference.
 
 The primes come from trial division by the primes found so far. A field's
-prime-ideal powers come from NumberField.split_prime, prime by prime: a
-prime ideal of residue degree f above p gives the powers of norm
-p^(f m) <= x, each with the weight f log p. Nothing here reads the
-field's NormIndexes or the code that builds them, which it checks.
+prime-ideal powers come from the splitting of each prime: a prime ideal of
+residue degree f above p gives the powers of norm p^(f m) <= x, each with
+the weight f log p. Nothing here reads the field's NormIndexes or the code
+that builds them, which it checks.
+
+For a quadratic x^2 + b x + c and a prime p whose square does not divide
+its discriminant b^2 - 4c, p does not divide the index, so the splitting
+of p follows the roots of f modulo p (Dedekind-Kummer): two roots split
+p, a double root ramifies it, none leaves it inert. The roots are counted
+by Euler's criterion on b^2 - 4c for odd p and by trying 0 and 1 for
+p = 2; the library reads the same splitting from a Kronecker symbol of
+the field discriminant instead. Every other prime, and every prime of a
+field of higher degree, takes its shape from NumberField.split_prime.
 """
 
 from __future__ import annotations
@@ -36,12 +45,31 @@ def rational_prime_powers(x: float) -> list:
     return sorted(out)
 
 
+def quadratic_root_shape(coeffs, p: int) -> list:
+    """Splitting type of p from the roots of x^2 + b x + c modulo p; valid
+    where p does not divide the index."""
+    c, b, _ = coeffs
+    if p == 2:
+        roots = sum((r * r + b * r + c) % 2 == 0 for r in (0, 1))
+    else:
+        delta = (b * b - 4 * c) % p
+        roots = 1 if delta == 0 else 2 if pow(delta, (p - 1) // 2, p) == 1 else 0
+    return {0: [(1, 2)], 1: [(2, 1)], 2: [(1, 1), (1, 1)]}[roots]
+
+
+def shape(field, p: int) -> list:
+    """Splitting type of p in the field, by the route the module docstring gives."""
+    if field.degree == 2 and field.disc_defining % (p * p):
+        return quadratic_root_shape(field.coeffs, p)
+    return field.split_prime(p)
+
+
 def ideal_powers(field, x: float) -> list:
     """(norm, p, f, m, weight) for every prime-ideal power of norm <= x,
     sorted by (norm, p, f, m)."""
     out = []
     for p in primes_up_to(math.floor(x)):
-        for _, f in field.split_prime(p):
+        for _, f in shape(field, p):
             m = 1
             while p ** (f * m) <= x:
                 out.append((p ** (f * m), p, f, m, f * math.log(p)))

@@ -2,7 +2,7 @@
 
 The exact reference scans (T, c) in the solver's order, one point at a
 time, and takes every field sum by math.fsum over the prime-ideal powers
-that ideal_stream enumerates from split_prime; the solver evaluates whole
+that ideal_stream enumerates prime by prime; the solver evaluates whole
 blocks of the grid from prefix sums. Both must pick the same (T, c), and
 the prefix sums must match the fsum values on random windows. The generic
 reference searches each scale c on its own with one eval_generic call per

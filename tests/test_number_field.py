@@ -3,16 +3,21 @@
 Splitting shapes and the norms and weights of the prime-ideal powers are
 frozen against hand-worked factorizations (quadratic residues, Eisenstein
 ramification). The field's two NormIndexes must equal, bit for bit, the
-indexes built from the direct enumeration of ideal_stream over the same
-splitting data, and weighted sums are cross-checked against hand sums.
+indexes built from the direct enumeration of ideal_stream, which reads a
+quadratic field's splitting from the roots of its polynomial modulo p
+wherever p cannot divide the index, and weighted sums are cross-checked
+against hand sums.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from genbound.arith import is_probable_prime
+from genbound import number_field, polynomials
+from genbound.arith import factorize, is_probable_prime
+from genbound.criteria_engine import minimal_T_exact
 from genbound.errors import (
     IrreducibilityError,
     SplittingUnavailableError,
@@ -24,7 +29,7 @@ from genbound.number_field import (
     load_cubic_fixtures,
     parse_poly,
 )
-from genbound.polynomials import gf_factor_shape
+from genbound.polynomials import dedekind_index_certified, gf_factor_shape, signature
 from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
 from genbound.rational_sieve import NormIndex
 
@@ -82,6 +87,18 @@ def test_signatures():
     assert (NumberField([1, 0, 1]).r1, NumberField([1, 0, 1]).r2) == (0, 1)
 
 
+# x^2 - 8, x^2 - 72 and x^2 + 45 are non-maximal models (index 2, 6 and 3)
+QUADRATIC_MODELS = [[-8, 0, 1], [-72, 0, 1], [7, 3, 1], [45, 0, 1]]
+
+
+def test_quadratic_signature_matches_sturm():
+    # degree 2 reads (r1, r2) from the sign of the discriminant
+    polys = [quadratic_field(d).coeffs for d in enumerate_fundamental_discriminants(3000)]
+    for coeffs in polys + QUADRATIC_MODELS:
+        K = NumberField(coeffs)
+        assert (K.r1, K.r2) == signature(list(coeffs)), coeffs
+
+
 # ----------------------------------------------------------------------
 # discriminants
 # ----------------------------------------------------------------------
@@ -111,6 +128,31 @@ def test_supplied_discriminant():
         NumberField([5, 0, 1], disc=-5)  # contradicts the certified -20
 
 
+def test_dedekind_holds_where_p_squared_misses_the_discriminant():
+    # NumberField._dedekind certifies p at once when p^2 does not divide
+    # disc_defining = index^2 * field disc; the full criterion must agree
+    rng = random.Random(12)
+    polys = [list(fx.coeffs) for fx in load_cubic_fixtures()]
+    for degree in (3, 4):
+        polys += [[rng.randint(-6, 6) for _ in range(degree)] + [1] for _ in range(150)]
+    checked = dividing = 0
+    for coeffs in polys:
+        disc = polynomials.discriminant(coeffs)
+        if disc == 0:
+            continue
+        try:
+            NumberField(coeffs)
+        except IrreducibilityError:
+            continue
+        primes = set(factorize(disc)[0]) | {p for p in range(2, 50) if is_probable_prime(p)}
+        for p in sorted(primes):
+            if disc % (p * p):
+                assert dedekind_index_certified(coeffs, p), (coeffs, p)
+                checked += 1
+                dividing += disc % p == 0
+    assert checked > 3000 and dividing > 300
+
+
 def test_log_abs_disc():
     assert NumberField([5, 0, 1]).log_abs_disc == pytest.approx(math.log(20), rel=1e-15)
 
@@ -135,17 +177,23 @@ def test_split_quadratic_shapes():
     [1, -1, 1],        # disc -3: 2 inert
     [5, 0, 1],         # disc -20
     [2499998, -1, 1],  # disc -9999991
+    [45, 0, 1],        # disc -180, index 3 uncertified: no field disc
 ])
 def test_quadratic_split_matches_gf_factoring(coeffs):
-    # degree 2 reads the splitting from a Kronecker symbol; factoring the
-    # polynomial over GF(p) must give the same shape at every unramified p
+    # a quadratic field with a known discriminant reads the splitting from
+    # a Kronecker symbol; factoring the polynomial over GF(p) must give the
+    # same shape at every p that cannot divide the index, ramified ones
+    # included
     K = NumberField(coeffs)
-    compared = 0
+    compared = ramified = 0
     for p in range(2, 2000):
-        if is_probable_prime(p) and K.disc_defining % p:
+        if is_probable_prime(p) and K.disc_defining % (p * p):
             assert K.split_prime(p) == gf_factor_shape(coeffs, p), p
             compared += 1
+            ramified += K.disc_defining % p == 0
     assert compared > 250
+    exact = [p for p, e in factorize(K.disc_defining)[0].items() if e == 1 and p < 2000]
+    assert ramified == len(exact)
 
 
 def test_split_via_supplied_disc():
@@ -158,6 +206,8 @@ def test_split_via_supplied_disc():
     K_unknown = NumberField([-5, 0, 1])
     with pytest.raises(SplittingUnavailableError):
         K_unknown.split_prime(2)
+    with pytest.raises(SplittingUnavailableError):
+        NumberField([-5, 0, 1]).norm_indexes(64)
 
 
 def test_split_cubic_ramified():
@@ -177,8 +227,26 @@ def test_split_totally_ramified():
 
 
 def test_split_rejects_composite():
-    with pytest.raises(ValueError):
-        NumberField([5, 0, 1]).split_prime(6)
+    K = NumberField([5, 0, 1])
+    K.norm_indexes(3100)  # the stream's memo holds every prime to 3100
+    for n in (0, 1, 6):
+        with pytest.raises(ValueError):
+            K.split_prime(n)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("quadratic fields need no polynomial arithmetic here")
+
+
+@pytest.mark.parametrize("d", [-100_003, 99_989])
+def test_quadratic_fields_need_no_gf_arithmetic(monkeypatch, d):
+    for name in ("gf_factor_shape", "gf_distinct_degree", "dedekind_index_certified"):
+        monkeypatch.setattr(number_field, name, _refuse)
+        monkeypatch.setattr(polynomials, name, _refuse)
+    monkeypatch.setattr(polynomials, "sturm_real_roots", _refuse)
+    K = quadratic_field(d)
+    assert (K.r1, K.r2) == ((2, 0) if d > 0 else (0, 1))
+    assert minimal_T_exact(K).evaluation.passed
 
 
 # ----------------------------------------------------------------------
