@@ -11,10 +11,12 @@ class group; solvers search (T, c) for the least certifiable T.
 The exact and generic criteria are each written once, as a function of
 floats or of numpy arrays (_exact_terms, _generic_terms), and their
 solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact a
-block of the (T, c) grid, minimal_T_generic one bisection step for every
-candidate scale c at once. A numpy margin only decides points clear of
-zero; points near it are decided by the scalar eval_exact or
-eval_generic, so both solvers return what a scalar search would.
+block of the (T, c) grid, minimal_T_generic the next four levels of the
+bisection tree of every candidate scale c at once (the 15 midpoints that
+four sequential steps could probe, each scale then taking the path the
+sequential bisection takes through them). A numpy margin only decides
+points clear of zero; points near it are decided by the scalar eval_exact
+or eval_generic, so both solvers return what a scalar search would.
 
 What the generic criterion needs of c alone (sqrt(c), the discriminant
 and kernel-slack terms, the majorant coefficients from rational_sieve and
@@ -386,6 +388,51 @@ def _generic_passes(shape: FieldShape, T, s: _Scales, floor_mode: bool, margin=N
     return passed
 
 
+# a bisection stops at a relative width of _WIDTH; a block of its rounds
+# evaluates the next _LOOKAHEAD levels of every open scale's bisection tree
+_WIDTH = 1e-9
+_LOOKAHEAD = 4
+
+
+def _bisection_points(lo, hi, depth):
+    """lo, the 2^depth - 1 midpoints of depth bisection levels in ascending
+    order, and hi: an array of 2^depth + 1 rows, one column per bracket.
+
+    Level by level, each midpoint is 0.5 * (a + b) of its neighbours a < b
+    from the levels above, which is the point a sequential bisection of
+    [lo, hi] probes at that node, bit for bit.
+    """
+    points = np.empty((2 ** depth + 1, lo.size))
+    points[0], points[-1] = lo, hi
+    for level in range(depth):
+        step = 2 ** (depth - level)
+        points[step // 2::step] = 0.5 * (points[:-1:step] + points[step::step])
+    return points
+
+
+def _bisection_leaves(passed):
+    """Per column, the index i of the bracket [points[i], points[i + 1]]
+    that a sequential bisection reaches, given its pass flags at the
+    midpoints points[1:-1] of _bisection_points, ascending in T.
+
+    Where a column's flags are monotone in T, that is its first pass: i
+    counts the failing points. Any other column walks the tree as the
+    bisection would: probe the middle point, keep the lower half on a pass
+    and the upper half on a failure.
+    """
+    leaves = passed.shape[0] - passed.sum(axis=0)
+    drops = passed[:-1] > passed[1:]
+    if drops.any():
+        for j in np.flatnonzero(drops.any(axis=0)).tolist():
+            i, half = 0, (passed.shape[0] + 1) // 2
+            while half:
+                if not passed[i + half - 1, j]:
+                    i += half
+                half //= 2
+            leaves[j] = i
+    return leaves
+
+
 # the solver's path line of a scale, by how its search ended; each is
 # formatted with (c, floor, cap, least T)
 _FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BISECTION, _LINEAR_SCAN = range(5)
@@ -404,7 +451,7 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     For each scale c of _candidate_scales, the least passing T in
     [floor(c), 4 log^2 disc] is found as follows, with margin assumed
     increasing in T: T = floor if it passes, none if the cap fails, else
-    bisection to a relative width of 1e-9 (at most 80 steps). Eight
+    bisection to a relative width of _WIDTH = 1e-9 (at most 80 steps). Eight
     geometric probes between the floor and the bisected point then check
     it is the first crossing; if one passes, a 513-point linear scan takes
     the least passing T instead. The smallest T wins, ties going to the
@@ -415,12 +462,23 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     coefficients, the validity floor and a bound on the size |lhs| +
     sum |term| over [floor, cap] (_size_bound), read from the evaluations at
     the floor and the cap that also make the floor and cap tests. All
-    scales then run in lockstep: each bisection step and the probes are one
-    numpy evaluation each over the scales still open, and points whose
-    margin is within 1e-12 times the size bound of zero are decided by
-    eval_generic (_generic_passes), so the result is the scalar search's.
-    The winner is re-checked by eval_generic, whose evaluation is reported;
-    the path lines are formatted once, at the end.
+    scales then run in lockstep, one numpy evaluation (_generic_passes) per
+    block of bisection levels and one for the probes, over the scales still
+    open. A block evaluates the next _LOOKAHEAD = 4 levels of every open
+    scale's bisection tree: its 15 midpoints, built level by level as
+    0.5 * (lo + hi) of the same floats, so each is bit for bit a point the
+    sequential bisection may probe (_bisection_points). A scale whose pass
+    flags are monotone in T moves to the bracket that ends at its first
+    pass; any other walks the tree as the sequential bisection does
+    (_bisection_leaves). Either way it ends in the bracket four sequential
+    steps reach. Blocks skip the width test between levels, so they run
+    only while no scale can narrow inside one, a level count taken once per
+    solve from the starting widths; the last steps run one level per block
+    with the width test after each. Points whose margin is within 1e-12
+    times the size bound of zero are decided by eval_generic, so every pass
+    flag, and with it the result, is the scalar search's. The winner is
+    re-checked by eval_generic, whose evaluation is reported; the path
+    lines are formatted once, at the end.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes.
@@ -446,16 +504,23 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
         idx, s = idx[ok], s.take(ok)
 
     if idx.size:
-        # bisect every bracketed scale in lockstep; a scale leaves once narrow
+        # bisect every bracketed scale in lockstep; a scale leaves once narrow.
+        # Each level halves a width and hi <= t_cap, so up to level `free`,
+        # two short of the ceiling of log2(min(hi - lo) / (_WIDTH max(1,
+        # t_cap))), every width is at least twice the narrow one (rounding the
+        # midpoints moves it by ulps): blocks of _LOOKAHEAD levels up to there
+        # need no width test between their levels
         rows, open_, lo, hi = idx, s, s.floor, np.full(idx.size, t_cap)
-        for _ in range(80):
-            if not rows.size:
-                break
-            mid = 0.5 * (lo + hi)
-            ok = _generic_passes(shape, mid, open_, floor_mode)
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid)
-            narrow = hi - lo <= 1e-9 * np.maximum(1.0, hi)
+        free = math.ceil(math.log2(np.min(hi - lo) / (_WIDTH * max(1.0, t_cap)))) - 2
+        steps = 0
+        while rows.size and steps < 80:
+            depth = _LOOKAHEAD if steps + _LOOKAHEAD <= free else 1
+            points = _bisection_points(lo, hi, depth)
+            leaf = _bisection_leaves(_generic_passes(shape, points[1:-1], open_, floor_mode))
+            cols = np.arange(rows.size)
+            lo, hi = points[leaf, cols], points[leaf + 1, cols]
+            steps += depth
+            narrow = hi - lo <= _WIDTH * np.maximum(1.0, hi)
             if np.count_nonzero(narrow):
                 best[rows[narrow]] = hi[narrow]
                 wide = ~narrow

@@ -240,12 +240,17 @@ def signatures(degrees):
 # log disc per signature: below and above the floor-mode guard 4 x^2 >= 1000,
 # and up to e^12.2, beyond every degree's threshold
 GENERIC_LOG_DISCS = (5.0, 14.0, 60.0, 900.0, 2.0e5)
+# and this many more per signature, log-uniform in [5, e^12.5] as the
+# paper-claims benchmark draws them
+GENERIC_RANDOM_LOG_DISCS = 3
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
 def test_generic_solver_matches_scalar_search(degree):
+    rng = random.Random(degree)
     for n, r1 in signatures([degree]):
-        for x in GENERIC_LOG_DISCS:
+        drawn = [math.exp(rng.uniform(math.log(5.0), 12.5)) for _ in range(GENERIC_RANDOM_LOG_DISCS)]
+        for x in GENERIC_LOG_DISCS + tuple(drawn):
             shape = FieldShape(n, r1, x)
             for floor_mode in (False, True):
                 try:
@@ -304,6 +309,108 @@ def test_generic_solver_linear_scan(monkeypatch):
     assert report.T_bound < 400.0
 
 
+def test_bisection_block_matches_sequential_steps():
+    # every pass-flag pattern of one to four levels, on brackets of several
+    # sizes: the block's points are the midpoints the sequential bisection
+    # probes, bit for bit, and its leaf is the bracket that bisection reaches
+    lo = np.array([73.2, 1000.0, 1.0e11, 81.0 / 1.03125])
+    hi = np.array([3600.0, 1000.0 + 1e-6, 1.6e11, 2718.28])
+    for depth in range(1, 5):
+        points = criteria_engine._bisection_points(lo, hi, depth)
+        assert (np.diff(points, axis=0) > 0).all()
+        n = 2 ** depth - 1
+        # column `pattern` passes at points[j + 1] where bit j of pattern is set
+        flags = (np.arange(2 ** n) >> np.arange(n)[:, None] & 1).astype(bool)
+        patterns = flags.T.tolist()
+        leaves = criteria_engine._bisection_leaves(flags)
+        monotone = (flags[1:] >= flags[:-1]).all(axis=0)
+        assert (leaves[monotone] == n - flags[:, monotone].sum(axis=0)).all()
+        for column in points.T.tolist():
+            position = {t: i for i, t in enumerate(column)}
+            for pattern, passed in enumerate(patterns):
+                a, b = column[0], column[-1]
+                for _ in range(depth):
+                    mid = 0.5 * (a + b)
+                    if passed[position[mid] - 1]:
+                        b = mid
+                    else:
+                        a = mid
+                assert (a, b) == (column[leaves[pattern]], column[leaves[pattern] + 1]), (depth, pattern)
+
+
+def test_generic_solver_walks_non_monotone_blocks(monkeypatch):
+    # a step in alpha makes the margin pass on a band of y = cT 30 wide,
+    # narrower than the spacing (3600 - 73.2)/16 of a first block's points,
+    # so some scale's block flags pass below a failure. The scalar search
+    # bisects past the band and its probes miss it, so the bound is the one
+    # without the step (test_generic_solver_anchors); ending such a scale at
+    # its first pass would return a T inside the band instead
+    def bumped(y):
+        return alpha(y) + 100.0 * ((1750.0 < y) & (y < 1780.0))
+
+    walked = []
+
+    def leaves(passed):
+        walked.append(bool((passed[:-1] > passed[1:]).any()))
+        return bisection_leaves(passed)
+
+    bisection_leaves = criteria_engine._bisection_leaves
+    monkeypatch.setattr(criteria_engine, "alpha", bumped)
+    monkeypatch.setattr(criteria_engine, "_bisection_leaves", leaves)
+    shape = FieldShape(2, 2, 30.0)
+    report = minimal_T_generic(shape)
+    assert any(walked)
+    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+    assert report.T_bound == 2824.170784304088
+
+
+def test_generic_solver_one_level_blocks_near_the_floor(monkeypatch):
+    # the cap lies 1e-8 above the floor 73.2, too close for a block of four
+    # levels to end before a scale may narrow, so every bisection block is
+    # one level; alpha drops below y0, so one scale fails at the floor and
+    # passes at the cap, the larger scales pass at the floor and the smaller
+    # ones nowhere
+    shape = FieldShape(3, 3, math.sqrt(73.2 * (1.0 + 1e-8) / 4.0))
+    c = _candidate_scales(3)[32]
+    y0 = c * 73.2 * (1.0 + 5e-9)
+
+    def dropped(y):
+        return alpha(y) - 100.0 * (y <= y0)
+
+    rows = []
+
+    def passes(shape, T, *args, **kwargs):
+        rows.append(np.shape(T)[0] if np.ndim(T) == 2 else 1)
+        return generic_passes(shape, T, *args, **kwargs)
+
+    generic_passes = criteria_engine._generic_passes
+    monkeypatch.setattr(criteria_engine, "alpha", dropped)
+    monkeypatch.setattr(criteria_engine, "_generic_passes", passes)
+    report = minimal_T_generic(shape)
+    assert sum("bisection" in step for step in report.solver_path) == 1
+    assert f"c={c:.6f}: bisection" in "".join(report.solver_path)
+    # floor, cap, at least two bisection blocks of one level, probes
+    assert len(rows) >= 5 and max(rows[2:-1]) == 1
+    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+
+
+def test_generic_solver_evaluations_per_solve(monkeypatch):
+    # floor, cap and probes take one evaluation each, and the 30 bisection
+    # steps 7 blocks of four levels and 2 of one level
+    calls = []
+
+    def passes(*args, **kwargs):
+        calls.append(1)
+        return generic_passes(*args, **kwargs)
+
+    generic_passes = criteria_engine._generic_passes
+    monkeypatch.setattr(criteria_engine, "_generic_passes", passes)
+    shape = FieldShape(6, 0, 1000.0)
+    report = minimal_T_generic(shape)
+    assert len(calls) <= 13
+    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+
+
 def test_generic_floor_above_cap():
     # cap 4 * 4^2 = 64 lies below the 73.2 floor at every c
     with pytest.raises(NoBoundCertifiedError):
@@ -319,6 +426,22 @@ def test_eval_generic_preconditions():
     with pytest.raises(PreconditionError, match="4 log"):
         eval_generic(shape, TestConfig(3600.5, 1.1))
     assert eval_generic(shape, TestConfig(3600.0, 1.1)).criterion_id == "generic"
+
+
+def test_shape_and_config_preconditions():
+    for T, c, match in ((10.0, 0.999, "c must be >= 1"), (1.5, 1.5, "T > c"), (1.0, 2.0, "T > c")):
+        with pytest.raises(PreconditionError, match=match):
+            TestConfig(T, c)
+    assert TestConfig(1.0 + 1e-12, 1.0).c == 1.0
+    bad_shapes = (
+        (1, 1, 10.0, "degree"), (0, 0, 10.0, "degree"),
+        (3, 5, 10.0, "r1"), (3, -1, 10.0, "r1"), (3, 0, 10.0, "r1"), (4, 1, 10.0, "r1"),
+        (2, 0, 0.0, "log_disc"), (2, 0, -1.0, "log_disc"), (2, 0, math.nan, "log_disc"),
+    )
+    for degree, r1, x, match in bad_shapes:
+        with pytest.raises(ValueError, match=match):
+            FieldShape(degree, r1, x)
+    assert FieldShape(3, 3, 1e-9).delta2 == 0
 
 
 def test_generic_terms_on_arrays_match_scalars():
