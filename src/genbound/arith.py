@@ -7,6 +7,7 @@ import math
 __all__ = ["is_probable_prime", "factorize", "kronecker"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_LIMIT = 1_000_000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -37,8 +38,8 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, trial_limit: int = 1_000_000) -> tuple[dict[int, int], int]:
-    """Trial division up to trial_limit, then primality/square tests on the rest.
+def factorize(n: int) -> tuple[dict[int, int], int]:
+    """Trial division up to _TRIAL_LIMIT, then primality/square tests on the rest.
 
     Returns (exponents, cofactor); cofactor is 1 unless an unfactored
     composite remains.
@@ -47,7 +48,7 @@ def factorize(n: int, trial_limit: int = 1_000_000) -> tuple[dict[int, int], int
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in range(2, trial_limit + 1):
+    for p in range(2, _TRIAL_LIMIT + 1):
         if p * p > n:
             break
         while n % p == 0:

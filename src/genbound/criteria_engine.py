@@ -28,6 +28,7 @@ numpy margin counts as near zero.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -52,6 +53,13 @@ SHORT_POWER_SLOPE = 4.72
 SHORT_POWER_CONST = 29.0
 SHORT_POWER_MIN_CT = 81.0
 
+# 8 log^2 disc, twice the cap 4 log^2 disc on T, lies above every c T and
+# every lo + hi the solvers form, so it must be a finite float
+_MAX_LOG_DISC = math.sqrt(sys.float_info.max / 8.0)
+
+# width in log log disc to which loglog_disc_threshold bisects its crossing
+_THRESHOLD_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class FieldShape:
@@ -66,8 +74,9 @@ class FieldShape:
             raise ValueError("degree must be at least 2")
         if not 0 <= self.r1 <= self.degree or (self.degree - self.r1) % 2:
             raise ValueError("r1 must match the degree in parity and range")
-        if not self.log_disc > 0:
-            raise ValueError("log_disc must be positive")
+        if not 0 < self.log_disc <= _MAX_LOG_DISC:
+            raise ValueError(f"log_disc must be positive and at most {_MAX_LOG_DISC:.6g}, "
+                             "so that 8 log_disc^2 is a finite float")
 
     @property
     def delta2(self) -> int:
@@ -611,15 +620,15 @@ def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
     raise NoBoundCertifiedError(f"no integer T <= {cap} certified by the exact test")
 
 
-def loglog_disc_threshold(degree: int, target_gap: float | None = None, tol: float = 1e-5) -> float:
+def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float:
     """log log of the least discriminant size certifying T = (4 - gap) log^2 disc.
 
     Floor mode, c = 1 + 1/(4 degree), worst-case r1 = degree mod 2. The
     pass region need not be one-sided: large degrees also pass in a band
     of small discriminants before failing again, so the solver walks down
     from far above to bracket the LAST crossing, bisects it to within
-    tol, and certifies the for-all-larger reading with a ten-point scan
-    beyond the root.
+    _THRESHOLD_TOL, and certifies the for-all-larger reading with a
+    ten-point scan beyond the root.
     """
     n = degree
     if target_gap is None:
@@ -648,7 +657,7 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None, tol: flo
         lo -= 0.05
         if lo < 1.0:
             raise NoBoundCertifiedError("criterion passes at every probed size; no threshold")
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if passes(math.exp(mid)):
             hi = mid

@@ -43,7 +43,6 @@ from .polynomials import (
     discriminant,
     gf_distinct_degree,
     gf_factor_shape,
-    gf_is_irreducible,
     gf_normalize,
     poly_eval,
     poly_trim,
@@ -58,9 +57,6 @@ __all__ = [
     "parse_poly",
     "load_cubic_fixtures",
 ]
-
-_SMALL_PRIMES = [p for p in range(2, 210)
-                 if all(p % q for q in range(2, p)) and p > 1]
 
 # a field's indexes before its ideal stream is first built; shared, since
 # building an index, even an empty one, costs tens of microseconds
@@ -102,34 +98,28 @@ def parse_poly(text: str) -> list:
     return coeffs
 
 
+def _signed_divisors(n):
+    """The divisors of n and their negatives: for each divisor d <= sqrt|n|,
+    in increasing order, the set {d, -d, |n|/d, -|n|/d}. None for n = 0."""
+    a = abs(n)
+    for d in range(1, math.isqrt(a) + 1):
+        if a % d == 0:
+            yield from {d, -d, a // d, -(a // d)}
+
+
 def _integer_roots(coeffs):
-    a0 = coeffs[0]
-    if a0 == 0:
+    if coeffs[0] == 0:
         yield 0
         return
-    a = abs(a0)
-    d = 1
-    while d * d <= a:
-        if a % d == 0:
-            for r in {d, -d, a // d, -(a // d)}:
-                if poly_eval(coeffs, r) == 0:
-                    yield r
-        d += 1
+    for r in _signed_divisors(coeffs[0]):
+        if poly_eval(coeffs, r) == 0:
+            yield r
 
 
 def _quartic_quadratic_split(coeffs):
     # f = x^4 + c3 x^3 + c2 x^2 + c1 x + c0 = (x^2+ax+b)(x^2+cx+d)?
     c0, c1, c2, c3 = coeffs[0], coeffs[1], coeffs[2], coeffs[3]
-    divs = set()
-    a = abs(c0)
-    d = 1
-    while d * d <= a:
-        if a % d == 0:
-            divs.update({d, -d, a // d, -(a // d)})
-        d += 1
-    for b in sorted(divs):
-        if c0 % b:
-            continue
+    for b in sorted(_signed_divisors(c0)):
         dd = c0 // b
         s = c3
         prod_ac = c2 - b - dd
@@ -158,8 +148,8 @@ def _certify_irreducible(coeffs) -> str:
         # monic with no integer root: any factorization would need a
         # rational root
         return "no rational root"
-    for p in _SMALL_PRIMES:
-        if gf_is_irreducible(gf_normalize(coeffs, p), p):
+    for p in default_table().primes_up_to(209).tolist():
+        if gf_factor_shape(coeffs, p) == [(1, n)]:
             return f"irreducible modulo {p}"
     if n == 4:
         split = _quartic_quadratic_split(coeffs)
@@ -197,7 +187,6 @@ class NumberField:
             self.r1, self.r2 = (2, 0) if self.disc_defining > 0 else (0, 1)
         else:
             self.r1, self.r2 = signature(coeffs)
-        self._dedekind_memo = {}
         self._split_memo = {}
         certified = self._certify_field_disc()
         if disc is not None:
@@ -219,11 +208,7 @@ class NumberField:
         """True when p is certified not to divide the index."""
         # disc_defining = index^2 * field disc, so an index prime has its
         # square in disc_defining
-        if self.disc_defining % (p * p):
-            return True
-        if p not in self._dedekind_memo:
-            self._dedekind_memo[p] = dedekind_index_certified(list(self.coeffs), p)
-        return self._dedekind_memo[p]
+        return bool(self.disc_defining % (p * p)) or dedekind_index_certified(list(self.coeffs), p)
 
     def _certify_field_disc(self):
         fac, cofactor = factorize(self.disc_defining)

@@ -5,8 +5,8 @@ zeros stripped; the zero polynomial is the empty list. Everything here is
 exact integer or Fraction arithmetic: resultants via fraction-free
 elimination, real-root counts via Sturm chains, and the mod-p toolkit
 (squarefree decomposition in characteristic p, distinct-degree splitting,
-irreducibility, index certification at a prime) that the number-field
-layer is built on.
+factorization shapes, which also decide irreducibility, and index
+certification at a prime) that the number-field layer is built on.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "gf_monic",
     "gf_squarefree_decomposition",
     "gf_distinct_degree",
-    "gf_is_irreducible",
     "gf_factor_shape",
     "dedekind_index_certified",
 ]
@@ -348,38 +347,6 @@ def gf_distinct_degree(f, p):
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
-
-
-def gf_is_irreducible(f, p):
-    """Rabin irreducibility test over GF(p)."""
-    f = gf_monic(gf_normalize(f, p), p)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    # x^{p^k} mod f by iterated Frobenius
-    frob = [gf_pow_mod([0, 1], p, f, p)]
-    for _ in range(n - 1):
-        frob.append(gf_pow_mod(frob[-1], p, f, p))
-    if gf_normalize(poly_sub(frob[n - 1], [0, 1]), p):
-        return False
-    divisors = set()
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            divisors.add(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        divisors.add(m)
-    for q in divisors:
-        diff = gf_normalize(poly_sub(frob[n // q - 1], [0, 1]), p)
-        if len(gf_gcd(diff, f, p)) > 1:
-            return False
-    return True
 
 
 def gf_factor_shape(f, p):

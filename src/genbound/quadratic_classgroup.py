@@ -22,10 +22,13 @@ at most h - 1 compositions. The exponent vectors of the classes over the
 generators give one relation k e_j - vec(g^k) per generator, a lower
 triangular matrix with at most log2 h rows; the elementary divisors
 are the nontrivial diagonal of its Smith normal form (Cohen, GTM 138,
-Alg. 2.4.14). The group keeps prime_growth, the pairs (p, |H| after p):
-the subgroup generated by the primes up to any bound is a prefix of the
-growth, so the generation check, and B(d), are lookups. All of it is
-exact integer arithmetic.
+Alg. 2.4.14). The form (p, b, c) of a prime ideal of norm p takes the
+least b of the same square roots as the enumeration: the growth bound is
+never above the largest leading coefficient enumerated, and p is inert
+when there is no root. The group keeps prime_growth, the pairs (p, |H|
+after p): the subgroup generated by the primes up to any bound is a
+prefix of the growth, so the generation check, and B(d), are lookups.
+All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, is_probable_prime, kronecker
+from .arith import factorize, is_probable_prime
 from .errors import ArithmeticInvariantError
 from .rational_sieve import default_table
 
@@ -244,15 +247,20 @@ def _square_roots(d, pf):
     return roots
 
 
-def _enumerate_reduced(d):
-    """Every reduced form of the fundamental discriminant d, sorted.
+def _max_leading(d):
+    """The largest |a| of a reduced form: sqrt(|d|/3) for d < 0, sqrt(d) for d > 0."""
+    return math.isqrt(-d // 3) if d < 0 else math.isqrt(d)
+
+
+def _enumerate_reduced(d, roots):
+    """Every reduced form of the fundamental discriminant d, sorted; roots is
+    _square_roots(d, pf) with pf covering every a up to _max_leading(d).
 
     Leading coefficients run over 1 <= a <= sqrt(|d|/3) for d < 0 and over
     1 <= |a| <= sqrt(d) for d > 0; each class b mod 2a with b^2 = d (mod 4a)
     gives at most one reduced form per sign of a, read off below.
     """
-    amax = math.isqrt(-d // 3) if d < 0 else math.isqrt(d)
-    roots = _square_roots(d, _prime_factor_table(amax))
+    amax = _max_leading(d)
     out = []
     if d < 0:
         for a in range(1, amax + 1):
@@ -370,7 +378,8 @@ class ClassGroupDescription:
             raise ValueError(f"{disc} is not a fundamental discriminant")
         self.disc = disc
         self._sq = math.isqrt(disc) if disc > 0 else 0
-        reduced = _enumerate_reduced(disc)
+        roots = _square_roots(disc, _prime_factor_table(_max_leading(disc)))
+        reduced = _enumerate_reduced(disc, roots)
         # _class maps every reduced form to the least reduced form of its wide class
         if disc < 0:
             self._class = {f: f for f in reduced}
@@ -394,7 +403,7 @@ class ClassGroupDescription:
         self.h = len(self.representatives)
         b0 = disc % 2
         self.identity = self.class_of((1, b0, (b0 * b0 - disc) // 4))
-        self.prime_growth, relations = self._grow()
+        self.prime_growth, relations = self._grow(roots)
         self.elementary_divisors = _smith_invariants(relations)
         if math.prod(self.elementary_divisors) != self.h:
             raise ArithmeticInvariantError(
@@ -403,7 +412,7 @@ class ClassGroupDescription:
             )
 
     # -- internal helpers ------------------------------------------------
-    def _grow(self):
+    def _grow(self, roots):
         """Grow H, the subgroup generated by the classes of the primes
         2, 3, 5, ..., one prime at a time until it is the whole group.
 
@@ -426,7 +435,7 @@ class ClassGroupDescription:
         for p in default_table().primes_up_to(_generating_prime_bound(self.disc)).tolist():
             if size == self.h:
                 break
-            form = _prime_form(self.disc, p)[1]
+            form = _prime_form(self.disc, p, roots)[1]
             if form is None:
                 continue
             g = self.class_of(form)
@@ -511,30 +520,25 @@ def _generating_prime_bound(disc: int) -> int:
     return math.isqrt(-disc // 3) if disc < 0 else math.isqrt(disc) // 2
 
 
-def _prime_form(disc: int, p: int):
+def _prime_form(disc: int, p: int, roots):
     """(status, form) of a prime ideal of norm p: (p, b, c) for the least
-    root b in [0, 2p) of b^2 = disc (mod 4p), or ("inert", None)."""
-    sym = kronecker(disc, p)
-    if sym == -1:
+    b in roots(p), the b in [0, 2p) with b^2 = disc (mod 4p), or ("inert",
+    None) when there is none."""
+    bs = roots(p)
+    if not bs:
         return "inert", None
-    if p == 2:
-        b = next((b for b in range(4) if (b * b - disc) % 8 == 0), 0)
-    else:
-        # b is a root r of disc modulo p, lifted to b = disc (mod 2); for a
-        # split p the other root, p - r, gives the inverse class
-        r = _sqrt_mod_prime(disc % p, p) if sym else 0
-        b = min(x if (x - disc) % 2 == 0 else x + p for x in (r, p - r))
+    b = min(bs)
     c, rem = divmod(b * b - disc, 4 * p)
     if rem:
-        raise ArithmeticInvariantError(f"no form of leading coefficient {p} despite kronecker {sym}")
-    return ("ramified" if sym == 0 else "split"), (p, b, c)
+        raise ArithmeticInvariantError(f"{b} is not a square root of {disc} modulo {4 * p}")
+    return ("ramified" if disc % p == 0 else "split"), (p, b, c)
 
 
 def prime_class(disc: int, p: int) -> PrimeClassInfo:
     """Class of a prime ideal of norm p, or the inert marker."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    status, form = _prime_form(disc, p)
+    status, form = _prime_form(disc, p, _square_roots(disc, {p: p}))
     if form is None:
         return PrimeClassInfo(p, status, None)
     return PrimeClassInfo(p, status, class_group(disc).class_of(form))

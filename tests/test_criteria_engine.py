@@ -15,6 +15,7 @@ at the same (T, c).
 import bisect
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -437,11 +438,18 @@ def test_shape_and_config_preconditions():
         (1, 1, 10.0, "degree"), (0, 0, 10.0, "degree"),
         (3, 5, 10.0, "r1"), (3, -1, 10.0, "r1"), (3, 0, 10.0, "r1"), (4, 1, 10.0, "r1"),
         (2, 0, 0.0, "log_disc"), (2, 0, -1.0, "log_disc"), (2, 0, math.nan, "log_disc"),
+        # 8 log_disc^2 must be a finite float
+        (3, 1, math.inf, "log_disc"), (3, 1, 1e300, "log_disc"), (3, 1, 6e153, "log_disc"),
     )
     for degree, r1, x, match in bad_shapes:
         with pytest.raises(ValueError, match=match):
             FieldShape(degree, r1, x)
     assert FieldShape(3, 3, 1e-9).delta2 == 0
+    # the largest log_disc accepted, and one well inside, solve with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e150, 4.74e153):
+            assert minimal_T_generic(FieldShape(3, 1, x)).T_bound <= 4.0 * x * x
 
 
 def test_generic_terms_on_arrays_match_scalars():

@@ -5,6 +5,8 @@ discriminants, quadratic-residue splitting of x^2 + a, and the standard
 index-divisibility examples at p = 2.
 """
 
+import itertools
+
 import pytest
 
 from genbound.polynomials import (
@@ -13,7 +15,6 @@ from genbound.polynomials import (
     gf_divmod,
     gf_factor_shape,
     gf_gcd,
-    gf_is_irreducible,
     gf_mul,
     gf_pow_mod,
     gf_squarefree_decomposition,
@@ -150,11 +151,18 @@ def test_squarefree_decomposition_pth_root_path():
 
 
 def test_gf_irreducibility():
-    assert gf_is_irreducible([1, 1, 0, 1], 2)  # x^3 + x + 1
-    assert gf_is_irreducible([-1, -1, 0, 0, 0, 1], 3)  # x^5 - x - 1
-    assert not gf_is_irreducible([1, 0, 1], 5)
-    assert not gf_is_irreducible([1, 0, 0, 0, 1], 2)
-    assert gf_is_irreducible([1, 1], 7)
+    # every monic f of degree 1..4 over GF(p): f is reducible exactly when it
+    # is the product of two monic polynomials of positive degree
+    for p in (2, 3, 5, 7):
+        monic = {n: [list(c) + [1] for c in itertools.product(range(p), repeat=n)] for n in range(1, 5)}
+        reducible = {
+            tuple(gf_mul(g, h, p))
+            for m in range(1, 3) for n in range(m, 5 - m)
+            for g in monic[m] for h in monic[n]
+        }
+        for n, fs in monic.items():
+            for f in fs:
+                assert (gf_factor_shape(f, p) == [(1, n)]) == (tuple(f) not in reducible), (f, p)
 
 
 def test_dedekind_certification():

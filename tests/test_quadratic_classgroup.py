@@ -26,6 +26,7 @@ from genbound.quadratic_classgroup import (
     _compose_raw,
     _cycle,
     _enumerate_reduced,
+    _max_leading,
     _prime_factor_table,
     _reduce_indefinite,
     _rho,
@@ -41,6 +42,11 @@ from genbound.quadratic_classgroup import (
 )
 from reduced_forms_scan import enumerate_reduced_by_scan
 from torsion_invariants import abelian_invariants
+
+
+def reduced_forms(d):
+    """_enumerate_reduced with the square roots a class group builds for it."""
+    return _enumerate_reduced(d, _square_roots(d, _prime_factor_table(_max_leading(d))))
 
 
 def inverse(G, f):
@@ -107,7 +113,7 @@ def test_enumerate_fundamental_matches_definition():
 # ----------------------------------------------------------------------
 def test_enumeration_matches_scan_small():
     for d in enumerate_fundamental_discriminants(3000):
-        assert _enumerate_reduced(d) == sorted(enumerate_reduced_by_scan(d)), d
+        assert reduced_forms(d) == sorted(enumerate_reduced_by_scan(d)), d
 
 
 def test_enumeration_matches_scan_seeded():
@@ -119,12 +125,12 @@ def test_enumeration_matches_scan_seeded():
             if is_fundamental_discriminant(d):
                 picked.add(d)
         for d in sorted(picked):
-            assert _enumerate_reduced(d) == sorted(enumerate_reduced_by_scan(d)), d
+            assert reduced_forms(d) == sorted(enumerate_reduced_by_scan(d)), d
 
 
 def test_enumeration_frozen_counts():
-    assert len(_enumerate_reduced(-9_999_991)) == 1_715
-    assert len(_enumerate_reduced(9_999_993)) == 3_996
+    assert len(reduced_forms(-9_999_991)) == 1_715
+    assert len(reduced_forms(9_999_993)) == 3_996
 
 
 def test_square_roots_match_brute_force():
@@ -445,7 +451,7 @@ def test_wide_classes_match_template_route():
         G = class_group(d)
         sq = math.isqrt(d)
         narrow = {}
-        for f in _enumerate_reduced(d):
+        for f in reduced_forms(d):
             if f not in narrow:
                 cyc = _cycle(f, d, sq)
                 narrow.update(dict.fromkeys(cyc, min(cyc)))
