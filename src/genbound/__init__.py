@@ -4,10 +4,8 @@ The package evaluates explicit-formula criteria which, under GRH, certify
 that the prime ideals of norm at most T generate the class group of a
 number field, with T of size (4 - eps) log^2 Delta. Submodules:
 
-- analytic_kernel: the archimedean coefficients alpha and beta, and the
-  window denominator c - 2n(c - 1 - log c)
-- rational_sieve: primes, the prefix-sum index over norms, and the
-  coefficients of the square-root-accurate rational majorant
+- analytic_kernel: the archimedean coefficients alpha and beta
+- rational_sieve: primes and the prefix-sum index over norms
 - arith: primality, factoring and the Kronecker symbol
 - polynomials: exact polynomial arithmetic over Z and GF(p): resultants,
   discriminants, Sturm chains, factor shapes mod p, Dedekind's criterion
@@ -15,7 +13,8 @@ number field, with T of size (4 - eps) log^2 Delta. Submodules:
   prefix-sum indexes over the prime-ideal powers
 - quadratic_classgroup: binary quadratic form class groups and the
   generated-by-small-primes test
-- criteria_engine: the exact and generic criteria, minimal-T solvers and
+- criteria_engine: the exact and generic criteria, with the generic
+  criterion's rational majorant and validity floor, minimal-T solvers and
   discriminant thresholds
 - errors: the exception classes, one per failure mode a caller handles
 """

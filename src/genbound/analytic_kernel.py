@@ -1,14 +1,12 @@
-"""The archimedean coefficients of the generation criteria.
+"""The archimedean coefficients alpha and beta of the generation criteria.
 
 alpha(y) and beta(y) are the integrals of the convolution of the window
 kernel with its mirror against 1/cosh and 1/sinh, at support level
 L = log y and normalized by e^{L/2}; beta carries the gamma + log 2pi
-shift. Both are
-evaluated in rearrangements that stay accurate when sqrt(y) is large; the
-raw textbook forms lose every digit to cancellation once log y is above
-roughly 60. window_denominator is the coefficient c - 2n(c - 1 - log c) of
-the generic test. The derivation of alpha and beta from the kernel is
-kept with the tests that check it, in tests/kernel_derivation.py.
+shift. Both are evaluated in rearrangements that stay accurate when
+sqrt(y) is large; the raw textbook forms lose every digit to cancellation
+once log y is above roughly 60. The derivation of alpha and beta from the
+kernel is kept with the tests that check it, in tests/kernel_derivation.py.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 __all__ = [
     "alpha",
     "beta",
-    "window_denominator",
 ]
 
 
@@ -75,8 +72,3 @@ def beta(y):
     s = xp.sqrt(y)
     return (-xp.log(y) + 2.0 * (s - 1.0) * (xp.log1p(-1.0 / s) + _BETA_SHIFT)) / s
 
-
-def window_denominator(c: float, n: int) -> float:
-    """c - 2n(c - 1 - log c), the linear-in-sqrt(T) coefficient of the generic test."""
-    h = c - 1.0
-    return c - 2.0 * n * (h - math.log1p(h))

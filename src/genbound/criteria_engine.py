@@ -2,11 +2,15 @@
 
 Three layers of test, all sharing the window parameters (T, c) with
 L = log(cT): the exact per-field form (every prime-ideal term evaluated
-from splitting data), the generic shape-only form (rational majorants in
-place of field sums, valid once T >= 73.2), and degree-specialized
+from splitting data), the generic shape-only form, and degree-specialized
 one-variable reductions in S = sqrt(cT) with published rounded constants.
 A passing test certifies that prime ideals of norm <= T generate the
 class group; solvers search (T, c) for the least certifiable T.
+
+The generic form bounds a degree-n field's weighted prime-ideal sum over
+(T, cT] by n (c-1-log c) T + n (c-1)/(4 pi) sqrt(T) log^2(cT), valid from
+T >= SCHOENFELD_FLOOR; its c-only factors (_majorant_coefficients) and its
+floor max(73.2, 81 delta2/c) (_generic_floor) serve the specialized test too.
 
 The exact and generic criteria are each written once, as a function of
 floats or of numpy arrays (_exact_terms, _generic_terms), and their
@@ -14,17 +18,17 @@ solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact a
 block of the (T, c) grid, minimal_T_generic the next four levels of the
 bisection tree of every candidate scale c at once (the 15 midpoints that
 four sequential steps could probe, each scale then taking the path the
-sequential bisection takes through them). A numpy margin only decides
-points clear of zero; points near it are decided by the scalar eval_exact
-or eval_generic, so both solvers return what a scalar search would.
+sequential bisection takes through them). A numpy margin (_margin) only
+decides points clear of zero; points near it are decided by eval_exact or
+eval_generic, so both solvers return what a scalar search would.
 
 What the generic criterion needs of c alone (sqrt(c), the discriminant
-and kernel-slack terms, the majorant coefficients from rational_sieve and
-the validity floor) is taken once per scale, in _Scales: one row of floats
-for eval_generic, and for each minimal_T_generic solve one scale table of
-arrays over the candidate scales. The table also carries, per scale, a
-bound on |lhs| + sum |term| over [floor, 4 log^2 disc], against which a
-numpy margin counts as near zero.
+and kernel-slack terms, the majorant coefficients and the validity floor)
+is taken once per scale, in _Scales: one row of floats for eval_generic,
+and for each minimal_T_generic solve one scale table of arrays over the
+candidate scales. The table also carries, per scale, a bound on
+|lhs| + sum |term| over [floor, 4 log^2 disc], against which a numpy
+margin counts as near zero.
 """
 
 import math
@@ -35,9 +39,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic_kernel import alpha, beta, window_denominator
+from .analytic_kernel import alpha, beta
 from .errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
-from .rational_sieve import SCHOENFELD_FLOOR, TWO_PI, majorant_coefficients, scale_majorant
+
+# least T of the generic criterion: its majorant rests on the RH bound
+# psi(u) <= u + sqrt(u) log^2 u / (4 pi) for u >= 73.2 (Schoenfeld, Math. Comp. 30, 1976)
+SCHOENFELD_FLOOR = 73.2
 
 # floor-mode replacements for alpha/beta: both functions are increasing,
 # so constants below alpha(1000), beta(1000) stay conservative once the
@@ -59,6 +66,8 @@ _MAX_LOG_DISC = math.sqrt(sys.float_info.max / 8.0)
 
 # width in log log disc to which loglog_disc_threshold bisects its crossing
 _THRESHOLD_TOL = 1e-5
+
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -171,11 +180,22 @@ def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
     return TestEvaluation("exact", float(lhs), tuple((name, float(v)) for name, v in terms))
 
 
-def _generic_floor(shape: FieldShape, c, floor_mode: bool):
+def _generic_floor(degree: int, c, floor_mode: bool):
     """Least T at which the generic test is valid, for a float c or a numpy array of them."""
     base = FLOOR_MODE_MIN_T if floor_mode else SCHOENFELD_FLOOR
-    short = shape.delta2 * SHORT_POWER_MIN_CT / c
+    short = (degree == 2) * SHORT_POWER_MIN_CT / c
     return np.maximum(base, short) if isinstance(short, np.ndarray) else max(base, short)
+
+
+def _majorant_coefficients(c, n: int):
+    """The factors of the two degree-n majorant terms that depend on c alone.
+
+    2n(c - 1 - log c) and n(c - 1): _generic_terms times the first by
+    sqrt(T) and the second by log^2(cT) / (2 pi). c is a float, evaluated
+    with the math module, or a numpy array.
+    """
+    log_c = np.log(c) if isinstance(c, np.ndarray) else math.log(c)
+    return 2.0 * n * (c - 1.0 - log_c), n * (c - 1.0)
 
 
 class _Scales(NamedTuple):
@@ -190,7 +210,7 @@ class _Scales(NamedTuple):
     sqrt_c: object
     discriminant: object  # 2 sqrt(c) log disc
     kernel_slack: object  # 2 sqrt(c) - 1
-    majorant_linear: object  # rational_sieve.majorant_coefficients
+    majorant_linear: object  # _majorant_coefficients
     majorant_log_sq: object
     floor: object  # validity floor, _generic_floor
     size: object = None  # bound on |lhs| + sum |term| over [floor, 4 log^2 disc]
@@ -203,9 +223,9 @@ class _Scales(NamedTuple):
 def _scales(shape: FieldShape, c, floor_mode: bool) -> _Scales:
     """The c-only parts of the generic criterion at a float c or an array of scales."""
     sc = np.sqrt(c) if isinstance(c, np.ndarray) else math.sqrt(c)
-    linear, log_sq = majorant_coefficients(c, shape.degree)
+    linear, log_sq = _majorant_coefficients(c, shape.degree)
     return _Scales(c, sc, 2.0 * sc * shape.log_disc, 2.0 * sc - 1.0, linear, log_sq,
-                   _generic_floor(shape, c, floor_mode))
+                   _generic_floor(shape.degree, c, floor_mode))
 
 
 def _generic_terms(shape: FieldShape, T, s: _Scales, floor_mode: bool):
@@ -225,7 +245,6 @@ def _generic_terms(shape: FieldShape, T, s: _Scales, floor_mode: bool):
     n, d2 = shape.degree, shape.delta2
     a_val = ALPHA_FLOOR if floor_mode else alpha(ct)
     b_val = BETA_FLOOR if floor_mode else beta(ct)
-    linear, log_sq = scale_majorant(s.majorant_linear, s.majorant_log_sq, st, L)
     terms = (
         ("discriminant", s.discriminant),
         ("kernel_slack", s.kernel_slack),
@@ -233,8 +252,8 @@ def _generic_terms(shape: FieldShape, T, s: _Scales, floor_mode: bool):
         ("arch_real", -sc * a_val * shape.r1),
         ("arch_total", -sc * b_val * n),
         ("window_log", sc * L),
-        ("majorant_linear", linear),
-        ("majorant_log_sq", log_sq),
+        ("majorant_linear", s.majorant_linear * st),
+        ("majorant_log_sq", s.majorant_log_sq * L * L / _TWO_PI),
     )
     return s.c * st, terms
 
@@ -263,7 +282,7 @@ def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
         raise ValueError("alpha_target must be positive")
     if c < 1.0:
         raise ValueError("need c >= 1")
-    den = window_denominator(c, degree)
+    den = c - _majorant_coefficients(c, degree)[0]
     if den <= 0.0:
         raise WindowTooWideError(f"window denominator nonpositive at c={c:g}, degree {degree}")
     return (den / math.sqrt(c) - 2.0 / math.sqrt(alpha_target)) / math.sqrt(c)
@@ -302,16 +321,14 @@ def specialized_constants(degree: int) -> SpecializedConstants:
         slope, log_sq = 0.00737, 0.15292
     else:
         slope = _floor5(coefficient_of_S(degree, c, target))
-        log_sq = _ceil5(1.0 / (math.sqrt(c) * TWO_PI))
+        log_sq = _ceil5(1.0 / (math.sqrt(c) * _TWO_PI))
     return SpecializedConstants(degree, c, target, slope, log_sq)
 
 
 def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
     """One-variable criterion in S = sqrt(cT) at the canonical c = 1+1/(4 degree)."""
     k = specialized_constants(degree)
-    s_floor = math.sqrt(k.c * SCHOENFELD_FLOOR)
-    if degree == 2:
-        s_floor = max(s_floor, math.sqrt(SHORT_POWER_MIN_CT))
+    s_floor = math.sqrt(k.c * _generic_floor(degree, k.c, False))
     if s < s_floor - 1e-12:
         raise PreconditionError(f"S={s:g} below the validity floor {s_floor:.3f}")
     d2 = 1.0 if degree == 2 else 0.0
@@ -350,7 +367,7 @@ _GENERIC_SLACK = 1e-12
 _SIZE_ROUNDING = 1e-12
 
 
-def _generic_margin(lhs, terms):
+def _margin(lhs, terms):
     for _, v in terms:
         lhs = lhs - v
     return lhs
@@ -387,7 +404,7 @@ def _generic_passes(shape: FieldShape, T, s: _Scales, floor_mode: bool, margin=N
     every decision is eval_generic's.
     """
     if margin is None:
-        margin = _generic_margin(*_generic_terms(shape, T, s, floor_mode))
+        margin = _margin(*_generic_terms(shape, T, s, floor_mode))
     passed = margin > 0.0
     near = np.abs(margin) <= _GENERIC_SLACK * s.size
     if np.count_nonzero(near):
@@ -503,8 +520,8 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
         at_floor = _generic_terms(shape, s.floor, s, floor_mode)
         at_cap = _generic_terms(shape, t_cap, s, floor_mode)
         s = s._replace(size=_size_bound(at_floor, at_cap))
-        cap_margin = _generic_margin(*at_cap)
-        ok = _generic_passes(shape, s.floor, s, floor_mode, _generic_margin(*at_floor))
+        cap_margin = _margin(*at_cap)
+        ok = _generic_passes(shape, s.floor, s, floor_mode, _margin(*at_floor))
         best[idx[ok]] = s.floor[ok]
         how[idx[ok]] = _AT_FLOOR
         idx, s, cap_margin = idx[~ok], s.take(~ok), cap_margin[~ok]
@@ -607,7 +624,7 @@ def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
         hi = min(hi, cap + 1)
         T = np.arange(lo, hi, dtype=np.float64)[:, None]
         lhs, terms = _exact_terms(field, T, _EXACT_SCALES)
-        margin = lhs - sum(v for _, v in terms)
+        margin = _margin(lhs, terms)
         valid = _EXACT_SCALES < T
         for i, j in zip(*np.nonzero(valid & (margin > -_GRID_SLACK))):
             t, c = float(T[i, 0]), float(_EXACT_SCALES[j])

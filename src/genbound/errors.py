@@ -1,8 +1,7 @@
 """Exception taxonomy shared by all genbound modules.
 
-Every failure mode that callers are expected to handle gets its own class so
-that the CLI can map errors onto its exit-code contract (1 usage, 2 no bound
-certified, 3 field-arithmetic limitation).
+Every failure mode that callers are expected to handle gets its own class,
+so a caller can catch the one it handles and let the others through.
 """
 
 

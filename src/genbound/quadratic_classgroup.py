@@ -5,14 +5,16 @@ discriminant. Negative discriminants use the classical reduced-form
 normal form. Positive ones use reduction cycles: a rho-cycle is a narrow
 class, and a wide class joins the cycles of (a, b, c) and (-a, b, -c),
 which differ by the class of sqrt(d), of norm -d < 0 (Cohen, GTM 138,
-§5.2). The reduced forms are enumerated in O(sqrt|d|) steps from modular
-square roots: for each leading coefficient a (1 <= a <= sqrt(|d|/3) when
-d < 0, 1 <= |a| <= sqrt(d) when d > 0) the classes b mod 2a with
-b^2 = d (mod 4a) are the roots of d modulo each prime power dividing a,
-joined by CRT; each class gives at most one reduced b, in (-a, a] for
-d < 0 and in (|sqrt d - 2|a||, sqrt d) for d > 0. Composition is
-Gauss-Dirichlet composition in the form of Cohen, GTM 138, Alg. 5.4.7:
-two extended gcds and one step modulo a leading coefficient.
+§5.2); rho commutes with (a, b, c) -> (-a, b, -c), so the second cycle is
+the first negated. The reduced forms are enumerated in O(sqrt|d|) steps
+from modular square roots: for each leading coefficient a
+(1 <= a <= sqrt(|d|/3) when d < 0, 1 <= |a| <= sqrt(d) when d > 0) the
+classes b mod 2a with b^2 = d (mod 4a) are the roots of d modulo each
+prime power dividing a, joined by CRT; each class gives at most one
+reduced b, in (-a, a] for d < 0 and in (|sqrt d - 2|a||, sqrt d) for
+d > 0. Composition is Gauss-Dirichlet composition in the form of Cohen,
+GTM 138, Alg. 5.4.7: two extended gcds and one step modulo a leading
+coefficient, which holds for a of either sign.
 
 Each group is built once with one growth: the subgroup H generated by the
 classes of the primes 2, 3, 5, ... (inert ones skipped) takes, for every
@@ -300,11 +302,9 @@ def _xgcd(a, b):
 
 
 def _compose_raw(f1, f2, d):
-    """Form in the product class (Cohen, GTM 138, Alg. 5.4.7); inputs need a > 0."""
+    """Form in the product class (Cohen, GTM 138, Alg. 5.4.7); a may have either sign."""
     a1, b1, _ = f1
     a2, b2, c2 = f2
-    if a1 <= 0 or a2 <= 0:
-        raise ArithmeticInvariantError(f"composition needs a > 0, got {f1} and {f2}")
     s = (b1 + b2) // 2
     g, y1, _ = _xgcd(a2, a1)
     d1, x2, y2 = _xgcd(s, g)
@@ -396,7 +396,7 @@ class ClassGroupDescription:
                 union = _cycle((a, b, c), disc, self._sq)
                 self.narrow_class_number += 1
                 if (-a, b, -c) not in union:
-                    union += _cycle((-a, b, -c), disc, self._sq)
+                    union += [(-x, y, -z) for x, y, z in union]
                     self.narrow_class_number += 1
                 self._class.update(dict.fromkeys(union, min(union)))
         self.representatives = tuple(sorted(set(self._class.values())))
@@ -469,12 +469,6 @@ class ClassGroupDescription:
             return _reduce_definite(form, self.disc)
         return _reduce_indefinite(form, self.disc, self._sq)
 
-    def _positive_rep(self, form):
-        if form[0] > 0:
-            return form
-        # neighbours on the cycle alternate the sign of a
-        return _rho(form, self.disc, self._sq)
-
     # -- public operations -----------------------------------------------
     @property
     def prime_bound(self) -> int:
@@ -497,7 +491,7 @@ class ClassGroupDescription:
         if self._class.get(g) != g:
             g = self.class_of(g)
         # _compose_raw has checked the product's discriminant
-        prod = _compose_raw(self._positive_rep(f), self._positive_rep(g), self.disc)
+        prod = _compose_raw(f, g, self.disc)
         return self._class[self._reduce(prod)]
 
 
@@ -536,6 +530,8 @@ def _prime_form(disc: int, p: int, roots):
 
 def prime_class(disc: int, p: int) -> PrimeClassInfo:
     """Class of a prime ideal of norm p, or the inert marker."""
+    if not is_fundamental_discriminant(disc):
+        raise ValueError(f"{disc} is not a fundamental discriminant")
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     status, form = _prime_form(disc, p, _square_roots(disc, {p: p}))

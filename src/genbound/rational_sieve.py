@@ -1,5 +1,4 @@
-"""Primes over the rationals, the prefix-sum index over norms, and the
-coefficients of the rational majorant.
+"""Primes over the rationals and the prefix-sum index over norms.
 
 The sieve is a flat bit vector, grown on demand: a query above the
 current limit re-sieves to the larger of the query and twice that limit.
@@ -14,13 +13,6 @@ at once. The difference cancels: its absolute error is a few unit
 roundoffs times the prefix sums at the upper bound (up to 1e-10 for field
 windows with norms near 10^4), where a direct sum over the range would
 err relative to the range's own terms.
-
-The generic criterion replaces a degree-n field's weighted sum over the
-prime ideals in (T, cT] by the closed-form majorant
-n (c-1-log c) T + n (c-1)/(4 pi) sqrt(T) log^2(cT), valid for c >= 1 and
-T >= 73.2: it rests on the square-root RH bound
-psi(u) <= u + sqrt(u) log^2 u / (4 pi) for u >= 73.2 (Schoenfeld 1976).
-majorant_coefficients and scale_majorant give its two terms.
 """
 
 from __future__ import annotations
@@ -35,22 +27,14 @@ from .errors import SieveCapacityError
 
 __all__ = [
     "MAX_LIMIT",
-    "SCHOENFELD_FLOOR",
     "NormIndex",
     "SieveTable",
     "default_table",
-    "majorant_coefficients",
-    "scale_majorant",
 ]
 
 # no table sieves beyond this; the exact criterion reads norms up to
 # 16 log^2 disc, under 10^6 even for disc = 10^100
 MAX_LIMIT = 10_000_000
-
-# smallest T for which the sqrt-accurate psi bound is available
-SCHOENFELD_FLOOR = 73.2
-
-TWO_PI = 2.0 * math.pi
 
 
 class NormIndex:
@@ -138,27 +122,6 @@ class SieveTable:
     def primes_up_to(self, x: float) -> np.ndarray:
         primes = self._grow(x).primes
         return primes[: np.searchsorted(primes, math.floor(x), side="right")]
-
-
-def majorant_coefficients(c, n: int):
-    """The factors of the two degree-n majorant terms that depend on c alone.
-
-    2n(c - 1 - log c) and n(c - 1): scale_majorant times the first by
-    sqrt(T) and the second by log^2(cT) / (2 pi). c is a float, evaluated
-    with the math module, or a numpy array.
-    """
-    log_c = np.log(c) if isinstance(c, np.ndarray) else math.log(c)
-    return 2.0 * n * (c - 1.0 - log_c), n * (c - 1.0)
-
-
-def scale_majorant(linear, log_sq, sqrt_t, log_ct):
-    """The two majorant terms from majorant_coefficients, sqrt(T) and log(cT).
-
-    2n(c - 1 - log c) sqrt(T) and n(c - 1) log^2(cT) / (2 pi): the
-    majorant over (T, cT] per sqrt(T)/2, the majorant_linear and
-    majorant_log_sq terms of the generic criterion.
-    """
-    return linear * sqrt_t, log_sq * log_ct * log_ct / TWO_PI
 
 
 # ----------------------------------------------------------------------

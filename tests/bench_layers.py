@@ -17,9 +17,11 @@ already built; one generic array evaluation over the 65 candidate scales,
 one lookahead block of the generic solver (the 2^4 - 1 midpoints of four
 bisection levels per scale, decided by _generic_passes),
 minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
-and loglog_disc_threshold(2); class_group built afresh at d = -999 983 and
-at d = -17 927 (h = 140, 2 and 3 split), one composition of two of its
-representatives, and generated_by_primes_up_to on its cached group.
+and loglog_disc_threshold(2); class_group built afresh at d = -999 983, at
+d = -17 927 (h = 140, 2 and 3 split) and at d = 999 993 (h = 1, narrow
+class number 2, so each cycle is joined with its negated partner), one
+composition of two representatives of d = -17 927, and
+generated_by_primes_up_to on its cached group.
 """
 
 import math
@@ -35,9 +37,9 @@ from genbound.criteria_engine import (  # noqa: E402
     TestConfig,
     _bisection_points,
     _candidate_scales,
-    _generic_margin,
     _generic_passes,
     _generic_terms,
+    _margin,
     _scales,
     _size_bound,
     eval_exact,
@@ -89,7 +91,7 @@ def test_generic_array_evaluation(benchmark):
     shape = FieldShape(6, 0, 1000.0)
     s = _scales(shape, np.array(_candidate_scales(6)), False)
     T = np.full(s.c.size, 2000.0)
-    margin = benchmark(lambda: _generic_margin(*_generic_terms(shape, T, s, False)))
+    margin = benchmark(lambda: _margin(*_generic_terms(shape, T, s, False)))
     assert margin.shape == (65,)
 
 
@@ -120,7 +122,7 @@ def test_loglog_disc_threshold(benchmark):
     assert benchmark(loglog_disc_threshold, 2) == pytest.approx(9.93559, abs=1e-5)
 
 
-@pytest.mark.parametrize("disc", [-999_983, -17_927])
+@pytest.mark.parametrize("disc", [-999_983, -17_927, 999_993])
 def test_class_group(benchmark, disc):
     # __wrapped__ bypasses the cache, so each round builds the group
     group = benchmark(class_group.__wrapped__, disc)

@@ -8,8 +8,9 @@ normalized forms are :func:`genbound.analytic_kernel.alpha` and
 against quadrature and alpha and beta against them. Also here: the
 objective f(c, n) = 2 sqrt(c) / (c - 2n(c - 1 - log c)), whose minimum over
 the window factor c governs the headline constant, with a golden-section
-minimizer. Closed forms are evaluated in rearrangements that stay accurate
-when e^{L/2} is large.
+minimizer; its denominator, written here in log1p form, is the oracle for
+the one criteria_engine computes. Closed forms are evaluated in
+rearrangements that stay accurate when e^{L/2} is large.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from genbound.analytic_kernel import window_denominator
 from genbound.errors import WindowTooWideError
 
 EULER_GAMMA = 0.5772156649015329
@@ -113,6 +113,12 @@ def archimedean_sh_integral(L) -> float:
     A = math.exp(0.5 * Lv)
     Am1 = math.expm1(0.5 * Lv)
     return -Lv + 2.0 * Am1 * (math.log1p(-1.0 / A) - 2.0 * math.log(2.0))
+
+
+def window_denominator(c: float, n: int) -> float:
+    """c - 2n(c - 1 - log c), the linear-in-sqrt(T) coefficient of the generic test."""
+    h = c - 1.0
+    return c - 2.0 * n * (h - math.log1p(h))
 
 
 def f_objective(c: float, n: int) -> float:

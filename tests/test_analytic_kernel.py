@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from genbound import analytic_kernel
-from genbound.analytic_kernel import alpha, beta, window_denominator
+from genbound.analytic_kernel import alpha, beta
 from genbound.errors import WindowTooWideError
 
 import kernel_derivation as kd
@@ -28,6 +28,7 @@ from kernel_derivation import (
     minimize_c,
     psi_plus,
     sh_weight_integral,
+    window_denominator,
 )
 from quadrature import adaptive_simpson
 

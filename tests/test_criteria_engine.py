@@ -30,6 +30,7 @@ from genbound.criteria_engine import (
     _candidate_scales,
     _generic_floor,
     _generic_terms,
+    _majorant_coefficients,
     _scales,
     _size_bound,
     coefficient_of_S,
@@ -44,9 +45,10 @@ from genbound.criteria_engine import (
 from genbound.errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
 from genbound.number_field import NumberField, load_cubic_fixtures
 from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
-from genbound.rational_sieve import TWO_PI, NormIndex, majorant_coefficients, scale_majorant
+from genbound.rational_sieve import NormIndex
 
 from ideal_stream import ideal_powers, rational_prime_powers
+from kernel_derivation import window_denominator
 
 # a difference of prefix sums errs by a few unit roundoffs of the prefix
 # sums it cancels; this bound, relative to their size, leaves room for
@@ -207,7 +209,7 @@ def reference_minimal_T_generic(shape, floor_mode):
     t_cap = 4.0 * shape.log_disc ** 2
     best = None
     for c in _candidate_scales(shape.degree):
-        t_lo = _generic_floor(shape, c, floor_mode)
+        t_lo = _generic_floor(shape.degree, c, floor_mode)
         if t_lo > t_cap:
             continue
         if ok(t_lo, c):
@@ -489,14 +491,16 @@ def test_generic_size_bound_dominates(degree):
                 assert (size <= bound).all(), (shape, floor_mode)
 
 
-def test_generic_majorant_terms_come_from_the_sieve():
+def test_generic_majorant_terms_come_from_the_coefficients():
     # test_rational_sieve checks these terms against the closed form
     for n in (3, 4):
         shape = FieldShape(n, n % 2, 100.0)
         for T in (73.2, 100.0, 500.0, 2000.0, 20000.0):
             for c in (1.05, 1.25, 2.0, 3.0):
                 terms = dict(eval_generic(shape, TestConfig(T, c)).rhs_terms)
-                want = scale_majorant(*majorant_coefficients(c, n), math.sqrt(T), math.log(c * T))
+                linear, log_sq = _majorant_coefficients(c, n)
+                L = math.log(c * T)
+                want = (linear * math.sqrt(T), log_sq * L * L / (2.0 * math.pi))
                 assert (terms["majorant_linear"], terms["majorant_log_sq"]) == want, (n, T, c)
 
 
@@ -518,7 +522,7 @@ def test_generic_pass_implies_exact_pass():
         t_cap = 4.0 * shape.log_disc ** 2
         for _ in range(100):
             c = rng.choice(_candidate_scales(shape.degree))
-            t_lo = _generic_floor(shape, c, False)
+            t_lo = _generic_floor(shape.degree, c, False)
             if t_lo > t_cap:
                 continue
             cfg = TestConfig(rng.uniform(t_lo, t_cap), c)
@@ -586,14 +590,33 @@ def test_threshold_gap_out_of_range(degree):
             loglog_disc_threshold(degree, target_gap=gap)
 
 
+# the rounded slopes of degrees 4..12, frozen
+FROZEN_SLOPES = {
+    4: 0.00547, 5: 0.00434, 6: 0.00359, 7: 0.00307, 8: 0.00267,
+    9: 0.00237, 10: 0.00213, 11: 0.00193, 12: 0.00176,
+}
+
+
 @pytest.mark.parametrize("degree", range(4, 13))
 def test_specialized_constants_round_outward(degree):
     # the slope rounds down and the log^2 coefficient up, by under 1e-5
     k = specialized_constants(degree)
+    assert k.slope == FROZEN_SLOPES[degree]
     slope = coefficient_of_S(degree, k.c, k.alpha_target)
     assert 0.0 <= slope - k.slope <= 1e-5
-    log_sq = 1.0 / (math.sqrt(k.c) * TWO_PI)
+    log_sq = 1.0 / (math.sqrt(k.c) * (2.0 * math.pi))
     assert 0.0 <= k.log_sq_coeff - log_sq <= 1e-5
+
+
+def test_coefficient_of_S_denominator_matches_oracle():
+    # at alpha_target = 1e300 the discriminant term 2/sqrt(alpha_target)
+    # vanishes beside den/sqrt(c), so the slope is den/c; on the candidate
+    # scales den stays near 1, and the log form of the library agrees with
+    # the log1p form of kernel_derivation to rounding
+    for n in range(2, 101):
+        for c in _candidate_scales(n):
+            den = coefficient_of_S(n, c, 1e300) * c
+            assert den == pytest.approx(window_denominator(c, n), rel=1e-14, abs=0.0), (n, c)
 
 
 def test_coefficient_of_S_guards():

@@ -49,6 +49,17 @@ def reduced_forms(d):
     return _enumerate_reduced(d, _square_roots(d, _prime_factor_table(_max_leading(d))))
 
 
+def narrow_classes(d):
+    """For d > 0, each reduced form -> the least form of its rho-cycle."""
+    sq = math.isqrt(d)
+    narrow = {}
+    for f in reduced_forms(d):
+        if f not in narrow:
+            cyc = _cycle(f, d, sq)
+            narrow.update(dict.fromkeys(cyc, min(cyc)))
+    return narrow
+
+
 def inverse(G, f):
     a, b, c = G.class_of(f)
     return G.class_of((a, -b, c))
@@ -450,11 +461,7 @@ def test_wide_classes_match_template_route():
             continue
         G = class_group(d)
         sq = math.isqrt(d)
-        narrow = {}
-        for f in reduced_forms(d):
-            if f not in narrow:
-                cyc = _cycle(f, d, sq)
-                narrow.update(dict.fromkeys(cyc, min(cyc)))
+        narrow = narrow_classes(d)
 
         def narrow_class(form):
             return narrow[_reduce_indefinite(form, d, sq)]
@@ -473,6 +480,30 @@ def test_wide_classes_match_template_route():
         assert G.narrow_class_number == (G.h if neg == one else 2 * G.h), d
 
 
+def test_negative_forms_compose_as_their_positive_neighbours():
+    # rho(f) is properly equivalent to f and, for reduced f with a < 0, has
+    # a > 0: composed as they are, such forms must land in the narrow class
+    # of the composition of their positive neighbours
+    pairs = 0
+    for d in enumerate_fundamental_discriminants(3000):
+        if d < 0:
+            continue
+        G = class_group(d)
+        sq = math.isqrt(d)
+        narrow = narrow_classes(d)
+        negative = sorted(f for f in narrow if f[0] < 0)
+        for f in negative:
+            for g in {f, negative[0], negative[len(negative) // 2], negative[-1]}:
+                pf, pg = _rho(f, d, sq), _rho(g, d, sq)
+                assert pf[0] > 0 and pg[0] > 0
+                want = _reduce_indefinite(_compose_raw(pf, pg, d), d, sq)
+                got = _reduce_indefinite(_compose_raw(f, g, d), d, sq)
+                assert narrow[got] == narrow[want], (d, f, g)
+                assert G.compose(f, g) == G.class_of(want), (d, f, g)
+                pairs += 1
+    assert pairs > 10_000
+
+
 # ----------------------------------------------------------------------
 # prime classes and generation
 # ----------------------------------------------------------------------
@@ -486,6 +517,16 @@ def test_prime_class_cases():
     assert prime_class(-20, 29).form == (1, 0, 5)  # 29 = 9 + 20 splits principally
     with pytest.raises(ValueError):
         prime_class(-20, 6)
+
+
+@pytest.mark.parametrize("disc, p", [(-5, 2), (20, 3), (-5, 3), (7, 3)])
+def test_prime_class_rejects_non_fundamental(disc, p):
+    # the first two have no square root of disc mod 4p, the last two a
+    # residue class that is no root; all four are refused before the roots
+    # are looked for. 12 = 4 * 3 is fundamental, and 5 is inert in Q(sqrt 3)
+    with pytest.raises(ValueError, match="not a fundamental discriminant"):
+        prime_class(disc, p)
+    assert prime_class(12, 5) == PrimeClassInfo(5, "inert", None)
 
 
 def test_prime_class_matches_scan():

@@ -21,17 +21,15 @@ import numpy as np
 import pytest
 
 from genbound import rational_sieve
-from genbound.criteria_engine import FieldShape, TestConfig, eval_generic
-from genbound.errors import PreconditionError, SieveCapacityError
-from genbound.rational_sieve import (
-    MAX_LIMIT,
+from genbound.criteria_engine import (
     SCHOENFELD_FLOOR,
-    NormIndex,
-    SieveTable,
-    default_table,
-    majorant_coefficients,
-    scale_majorant,
+    FieldShape,
+    TestConfig,
+    _majorant_coefficients,
+    eval_generic,
 )
+from genbound.errors import PreconditionError, SieveCapacityError
+from genbound.rational_sieve import MAX_LIMIT, NormIndex, SieveTable, default_table
 
 import ideal_stream
 from ideal_stream import rational_prime_powers
@@ -279,9 +277,11 @@ def test_majorant_dominates_rational_sum(index):
 
 
 def library_majorant(T, c, n):
-    """The majorant from the library's two terms, times sqrt(T)/2."""
-    linear, log_sq = scale_majorant(*majorant_coefficients(c, n), math.sqrt(T), math.log(c * T))
-    return 0.5 * math.sqrt(T) * (linear + log_sq)
+    """The majorant from the library's two coefficients, scaled as the
+    generic criterion scales them, times sqrt(T)/2."""
+    linear, log_sq = _majorant_coefficients(c, n)
+    L = math.log(c * T)
+    return 0.5 * math.sqrt(T) * (linear * math.sqrt(T) + log_sq * L * L / (2.0 * math.pi))
 
 
 def test_majorant_scales_linearly_in_degree():
@@ -298,7 +298,7 @@ def test_majorant_scales_linearly_in_degree():
 def test_majorant_guards():
     # the majorant vanishes with its window at c = 1, and the generic
     # criterion that uses it refuses T below the floor of the psi bound
-    assert majorant_coefficients(1.0, 4) == (0.0, 0.0)
+    assert _majorant_coefficients(1.0, 4) == (0.0, 0.0)
     shape = FieldShape(4, 0, 50.0)
     with pytest.raises(PreconditionError):
         eval_generic(shape, TestConfig(SCHOENFELD_FLOOR - 0.1, 1.5))
