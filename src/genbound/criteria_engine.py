@@ -20,7 +20,9 @@ bisection tree of every candidate scale c at once (the 15 midpoints that
 four sequential steps could probe, each scale then taking the path the
 sequential bisection takes through them). A numpy margin (_margin) only
 decides points clear of zero; points near it are decided by eval_exact or
-eval_generic, so both solvers return what a scalar search would.
+eval_generic, so both solvers return what a scalar search would. One
+bisection per scale finds the generic least T, as the margin increases in T
+when alpha and beta are nondecreasing (the lemma in minimal_T_generic).
 
 What the generic criterion needs of c alone (sqrt(c), the discriminant
 and kernel-slack terms, the majorant coefficients and the validity floor)
@@ -70,6 +72,11 @@ _THRESHOLD_TOL = 1e-5
 _TWO_PI = 2.0 * math.pi
 
 
+def _delta2(degree: int) -> int:
+    """The indicator delta2 of the degree-2 short prime-power bound: 1 for degree 2, else 0."""
+    return 1 if degree == 2 else 0
+
+
 @dataclass(frozen=True)
 class FieldShape:
     """Degree, real-place count and discriminant size; all a generic test needs."""
@@ -89,7 +96,7 @@ class FieldShape:
 
     @property
     def delta2(self) -> int:
-        return 1 if self.degree == 2 else 0
+        return _delta2(self.degree)
 
     @classmethod
     def of_field(cls, field) -> "FieldShape":
@@ -183,7 +190,7 @@ def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
 def _generic_floor(degree: int, c, floor_mode: bool):
     """Least T at which the generic test is valid, for a float c or a numpy array of them."""
     base = FLOOR_MODE_MIN_T if floor_mode else SCHOENFELD_FLOOR
-    short = (degree == 2) * SHORT_POWER_MIN_CT / c
+    short = _delta2(degree) * SHORT_POWER_MIN_CT / c
     return np.maximum(base, short) if isinstance(short, np.ndarray) else max(base, short)
 
 
@@ -331,7 +338,7 @@ def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
     s_floor = math.sqrt(k.c * _generic_floor(degree, k.c, False))
     if s < s_floor - 1e-12:
         raise PreconditionError(f"S={s:g} below the validity floor {s_floor:.3f}")
-    d2 = 1.0 if degree == 2 else 0.0
+    d2 = _delta2(degree)
     dodd = degree % 2
     y = s * s
     ls = math.log(s)
@@ -461,13 +468,12 @@ def _bisection_leaves(passed):
 
 # the solver's path line of a scale, by how its search ended; each is
 # formatted with (c, floor, cap, least T)
-_FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BISECTION, _LINEAR_SCAN = range(5)
+_FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BISECTION = range(4)
 _PATH_FORMATS = (
     "c={0:.6f}: floor {1:.6g} above cap {2:.6g}",
     "c={0:.6f}: passes at the floor T={3:.6g}",
     "c={0:.6f}: no pass up to T={2:.6g}",
     "c={0:.6f}: bisection, least T={3:.6g}",
-    "c={0:.6f}: linear scan, least T={3:.6g}",
 )
 
 
@@ -475,36 +481,39 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     """Least certifiable norm bound under the generic test, over a c-grid.
 
     For each scale c of _candidate_scales, the least passing T in
-    [floor(c), 4 log^2 disc] is found as follows, with margin assumed
-    increasing in T: T = floor if it passes, none if the cap fails, else
-    bisection to a relative width of _WIDTH = 1e-9 (at most 80 steps). Eight
-    geometric probes between the floor and the bisected point then check
-    it is the first crossing; if one passes, a 513-point linear scan takes
-    the least passing T instead. The smallest T wins, ties going to the
-    smaller c.
+    [floor(c), 4 log^2 disc] is the floor if it passes, none if the cap
+    fails, else the upper end of a bisection that keeps the lower half on a
+    pass, to a relative width of _WIDTH = 1e-9 (at most 80 steps). The
+    smallest T wins, ties going to the smaller c.
 
-    A solve first builds its scale table (_Scales): per scale, c, sqrt(c),
-    the discriminant and kernel-slack terms, the c-only majorant
-    coefficients, the validity floor and a bound on the size |lhs| +
-    sum |term| over [floor, cap] (_size_bound), read from the evaluations at
-    the floor and the cap that also make the floor and cap tests. All
-    scales then run in lockstep, one numpy evaluation (_generic_passes) per
-    block of bisection levels and one for the probes, over the scales still
-    open. A block evaluates the next _LOOKAHEAD = 4 levels of every open
-    scale's bisection tree: its 15 midpoints, built level by level as
-    0.5 * (lo + hi) of the same floats, so each is bit for bit a point the
-    sequential bisection may probe (_bisection_points). A scale whose pass
-    flags are monotone in T moves to the bracket that ends at its first
-    pass; any other walks the tree as the sequential bisection does
-    (_bisection_leaves). Either way it ends in the bracket four sequential
-    steps reach. Blocks skip the width test between levels, so they run
-    only while no scale can narrow inside one, a level count taken once per
-    solve from the starting widths; the last steps run one level per block
-    with the width test after each. Points whose margin is within 1e-12
-    times the size bound of zero are decided by eval_generic, so every pass
-    flag, and with it the result, is the scalar search's. The winner is
-    re-checked by eval_generic, whose evaluation is reported; the path
-    lines are formatted once, at the end.
+    Lemma: the bisection brackets the least passing T, the single crossing.
+    At a fixed c write u = sqrt(T), L = log(cT), M1 = 2n(c - 1 - log c) and
+    M2 = n(c - 1) (_majorant_coefficients). If alpha and beta are
+    nondecreasing (in floor mode they are constants), the margin increases
+    in u wherever (c - M1) u > 2 sqrt(c) + 2 M2 L / pi: with dL/du = 2/u its
+    derivative in u is c - M1 - 2 sqrt(c)/u - 2 M2 L/(pi u) plus that of
+    the 29 delta2/u and the alpha and beta terms, which only help. Divided
+    by u, the right side has derivative (2 M2 (2 - L)/pi - 2 sqrt(c))/u^2,
+    negative once L > 2, as it is from the floor 73.2 on; so the inequality
+    need only hold at the validity floor. There it holds with a factor of at
+    least 1.73 for every degree 2..199, candidate scale and floor mode (the
+    least at n = 4, c = 1.25; test_generic_margin_increases_from_the_floor).
+
+    A solve builds its scale table (_Scales), with a size bound read from
+    the evaluations at the floor and the cap (_size_bound) that also make
+    the floor and cap tests. All scales then bisect in lockstep, one numpy
+    evaluation (_generic_passes) per block of the next _LOOKAHEAD = 4
+    levels of every open scale's bisection tree (_bisection_points). Each
+    scale moves to the bracket that four sequential steps reach
+    (_bisection_leaves, whose tree walk follows flags that rounding near
+    the crossing makes non-monotone). Blocks skip the width test between
+    levels, so they run only while no scale can narrow inside one, a level
+    count taken once per solve from the starting widths; the last steps run
+    one level per block with the width test after each. Points whose margin
+    is within 1e-12 times the size bound of zero are decided by
+    eval_generic, so every pass flag, and with it the result, is the scalar
+    search's. The winner is re-checked by eval_generic, whose evaluation is
+    reported.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes.
@@ -536,13 +545,13 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
         # t_cap))), every width is at least twice the narrow one (rounding the
         # midpoints moves it by ulps): blocks of _LOOKAHEAD levels up to there
         # need no width test between their levels
-        rows, open_, lo, hi = idx, s, s.floor, np.full(idx.size, t_cap)
+        rows, lo, hi = idx, s.floor, np.full(idx.size, t_cap)
         free = math.ceil(math.log2(np.min(hi - lo) / (_WIDTH * max(1.0, t_cap)))) - 2
         steps = 0
         while rows.size and steps < 80:
             depth = _LOOKAHEAD if steps + _LOOKAHEAD <= free else 1
             points = _bisection_points(lo, hi, depth)
-            leaf = _bisection_leaves(_generic_passes(shape, points[1:-1], open_, floor_mode))
+            leaf = _bisection_leaves(_generic_passes(shape, points[1:-1], s, floor_mode))
             cols = np.arange(rows.size)
             lo, hi = points[leaf, cols], points[leaf + 1, cols]
             steps += depth
@@ -550,21 +559,9 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
             if np.count_nonzero(narrow):
                 best[rows[narrow]] = hi[narrow]
                 wide = ~narrow
-                rows, open_, lo, hi = rows[wide], open_.take(wide), lo[wide], hi[wide]
+                rows, s, lo, hi = rows[wide], s.take(wide), lo[wide], hi[wide]
         best[rows] = hi
         how[idx] = _BISECTION
-
-        # certify each bracket really is the first crossing
-        hi = best[idx]
-        probes = np.geomspace(s.floor, hi, 10)[1:-1]
-        early = _generic_passes(shape, probes, s, floor_mode).any(axis=0)
-        for j in np.flatnonzero(early).tolist():
-            grid = np.linspace(s.floor[j], hi[j], 513)
-            passed = _generic_passes(shape, grid, s.take(j), floor_mode)
-            if passed.any():
-                k = idx[j]
-                best[k] = grid[np.argmax(passed)]
-                how[k] = _LINEAR_SCAN
 
     k = int(np.argmin(best))
     if best[k] == np.inf:

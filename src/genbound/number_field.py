@@ -148,14 +148,16 @@ def _certify_irreducible(coeffs) -> str:
         # monic with no integer root: any factorization would need a
         # rational root
         return "no rational root"
-    for p in default_table().primes_up_to(209).tolist():
-        if gf_factor_shape(coeffs, p) == [(1, n)]:
-            return f"irreducible modulo {p}"
     if n == 4:
+        # by Gauss's lemma the only other factorization is into two monic
+        # integer quadratics, which the search settles
         split = _quartic_quadratic_split(coeffs)
         if split is not None:
             raise IrreducibilityError(f"reducible: quadratic factors {split}")
         return "no rational root, no quadratic factorization"
+    for p in default_table().primes_up_to(209).tolist():
+        if gf_factor_shape(coeffs, p) == [(1, n)]:
+            return f"irreducible modulo {p}"
     raise IrreducibilityError(
         "cannot certify irreducibility: no modular certificate below 210 "
         "and degree too high for exhaustive factor search"

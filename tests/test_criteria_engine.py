@@ -198,9 +198,8 @@ def test_array_queries_match_scalar_queries():
 def reference_minimal_T_generic(shape, floor_mode):
     """(T, c) of the scalar search, one eval_generic call per probed point.
 
-    Per c: the floor, the cap, a bisection, eight geometric probes below
-    the bisected point and, if one passes, a 513-point linear scan; the
-    least T wins, ties to the smaller c.
+    Per c: the floor, the cap, then a bisection that keeps the lower half
+    on a pass; the least T wins, ties to the smaller c.
     """
 
     def ok(t, c):
@@ -227,8 +226,6 @@ def reference_minimal_T_generic(shape, floor_mode):
                 if hi - lo <= 1e-9 * max(1.0, hi):
                     break
             t = hi
-            if any(ok(p, c) for p in np.geomspace(t_lo, hi, 10)[1:-1]):
-                t = next((float(g) for g in np.linspace(t_lo, hi, 513) if ok(g, c)), hi)
         if best is None or t < best[0]:
             best = (t, c)
     if best is None:
@@ -248,24 +245,65 @@ GENERIC_LOG_DISCS = (5.0, 14.0, 60.0, 900.0, 2.0e5)
 GENERIC_RANDOM_LOG_DISCS = 3
 
 
-@pytest.mark.parametrize("degree", range(2, 11))
-def test_generic_solver_matches_scalar_search(degree):
+def generic_solver_shapes(degree):
+    """(shape, floor_mode) for every signature of the degree, at the fixed
+    and the drawn log discs, in both floor modes."""
     rng = random.Random(degree)
     for n, r1 in signatures([degree]):
         drawn = [math.exp(rng.uniform(math.log(5.0), 12.5)) for _ in range(GENERIC_RANDOM_LOG_DISCS)]
         for x in GENERIC_LOG_DISCS + tuple(drawn):
-            shape = FieldShape(n, r1, x)
             for floor_mode in (False, True):
-                try:
-                    want = reference_minimal_T_generic(shape, floor_mode)
-                except NoBoundCertifiedError:
-                    with pytest.raises(NoBoundCertifiedError):
-                        minimal_T_generic(shape, floor_mode)
-                    continue
-                report = minimal_T_generic(shape, floor_mode)
-                assert (report.T_bound, report.c_used) == want, (shape, floor_mode)
-                ev = eval_generic(shape, TestConfig(*want), floor_mode)
-                assert report.margin == ev.margin and report.evaluation == ev
+                yield FieldShape(n, r1, x), floor_mode
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_generic_solver_matches_scalar_search(degree):
+    for shape, floor_mode in generic_solver_shapes(degree):
+        try:
+            want = reference_minimal_T_generic(shape, floor_mode)
+        except NoBoundCertifiedError:
+            with pytest.raises(NoBoundCertifiedError):
+                minimal_T_generic(shape, floor_mode)
+            continue
+        report = minimal_T_generic(shape, floor_mode)
+        assert (report.T_bound, report.c_used) == want, (shape, floor_mode)
+        ev = eval_generic(shape, TestConfig(*want), floor_mode)
+        assert report.margin == ev.margin and report.evaluation == ev
+
+
+def test_generic_margin_increases_from_the_floor():
+    # the lemma of minimal_T_generic: at a fixed c the margin increases in
+    # u = sqrt(T) wherever (c - M1) u > 2 sqrt(c) + 2 M2 L / pi, with
+    # L = log(cT) and M1, M2 the majorant coefficients. Over u, the right
+    # side decreases once L > 2, so holding at the validity floor suffices.
+    # It holds there with a factor of at least 1.7, far beyond rounding
+    for n in range(2, 200):
+        for c in _candidate_scales(n):
+            m1, m2 = _majorant_coefficients(c, n)
+            for floor_mode in (False, True):
+                T = _generic_floor(n, c, floor_mode)
+                L = math.log(c * T)
+                assert L > 2.0
+                rhs = 2.0 * math.sqrt(c) + 2.0 * m2 * L / math.pi
+                assert (c - m1) * math.sqrt(T) >= 1.7 * rhs, (n, c, floor_mode)
+
+
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_generic_bound_is_least(degree):
+    # checked by eval_generic alone: the bisection ends within a relative
+    # 1e-9 of T_bound, so every scale valid at t = T_bound (1 - 2e-9) fails
+    # there, and the margin, increasing in T at each scale (the lemma of
+    # minimal_T_generic), fails below t too; so no smaller T passes. With
+    # no bound, every scale valid at the cap fails at the cap
+    for shape, floor_mode in generic_solver_shapes(degree):
+        t_cap = 4.0 * shape.log_disc ** 2
+        try:
+            t = minimal_T_generic(shape, floor_mode).T_bound * (1.0 - 2e-9)
+        except NoBoundCertifiedError:
+            t = t_cap
+        for c in _candidate_scales(shape.degree):
+            if _generic_floor(shape.degree, c, floor_mode) <= t:
+                assert not eval_generic(shape, TestConfig(t, c), floor_mode).passed, (shape, floor_mode, c)
 
 
 def test_generic_solver_anchors():
@@ -296,20 +334,6 @@ def test_generic_solver_confirms_near_zero_margins(monkeypatch):
     assert len(calls) >= 2
     monkeypatch.undo()
     assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
-
-
-def test_generic_solver_linear_scan(monkeypatch):
-    # a bump in alpha makes the margin pass on a band of small T and fail
-    # above it, so an early probe passes and the linear scan takes over
-    def bumped(y):
-        return alpha(y) + 100.0 * ((250.0 < y) & (y < 400.0))
-
-    monkeypatch.setattr(criteria_engine, "alpha", bumped)
-    shape = FieldShape(2, 2, 30.0)
-    report = minimal_T_generic(shape)
-    assert any("linear scan" in step for step in report.solver_path)
-    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
-    assert report.T_bound < 400.0
 
 
 def test_bisection_block_matches_sequential_steps():
@@ -345,9 +369,9 @@ def test_generic_solver_walks_non_monotone_blocks(monkeypatch):
     # a step in alpha makes the margin pass on a band of y = cT 30 wide,
     # narrower than the spacing (3600 - 73.2)/16 of a first block's points,
     # so some scale's block flags pass below a failure. The scalar search
-    # bisects past the band and its probes miss it, so the bound is the one
-    # without the step (test_generic_solver_anchors); ending such a scale at
-    # its first pass would return a T inside the band instead
+    # bisects past the band, so the bound is the one without the step
+    # (test_generic_solver_anchors); ending such a scale at its first pass
+    # would return a T inside the band instead
     def bumped(y):
         return alpha(y) + 100.0 * ((1750.0 < y) & (y < 1780.0))
 
@@ -392,14 +416,14 @@ def test_generic_solver_one_level_blocks_near_the_floor(monkeypatch):
     report = minimal_T_generic(shape)
     assert sum("bisection" in step for step in report.solver_path) == 1
     assert f"c={c:.6f}: bisection" in "".join(report.solver_path)
-    # floor, cap, at least two bisection blocks of one level, probes
-    assert len(rows) >= 5 and max(rows[2:-1]) == 1
+    # floor, cap, then at least two bisection blocks, all of one level
+    assert len(rows) >= 4 and max(rows[2:]) == 1
     assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
 
 
 def test_generic_solver_evaluations_per_solve(monkeypatch):
-    # floor, cap and probes take one evaluation each, and the 30 bisection
-    # steps 7 blocks of four levels and 2 of one level
+    # floor and cap take one evaluation each, and the 30 bisection steps
+    # 7 blocks of four levels and 2 of one level
     calls = []
 
     def passes(*args, **kwargs):
@@ -410,7 +434,7 @@ def test_generic_solver_evaluations_per_solve(monkeypatch):
     monkeypatch.setattr(criteria_engine, "_generic_passes", passes)
     shape = FieldShape(6, 0, 1000.0)
     report = minimal_T_generic(shape)
-    assert len(calls) <= 13
+    assert len(calls) <= 11
     assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
 
 

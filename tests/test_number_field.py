@@ -68,8 +68,11 @@ def test_monic_and_degree_guards():
 def test_irreducibility_certificates():
     # degree <= 3 with no integer root needs no modular certificate
     assert NumberField([-1, -1, 0, 1]).irreducibility_certificate == "no rational root"
-    assert NumberField([-1, -1, 0, 0, 1]).irreducibility_certificate == "irreducible modulo 2"
-    # x^4 + 1 is reducible modulo every prime; the exhaustive search certifies
+    # a quartic with no integer root is settled by the search for two monic
+    # quadratic factors, even where it is irreducible modulo 2, as x^4 - x - 1 is
+    assert NumberField([-1, -1, 0, 0, 1]).irreducibility_certificate == (
+        "no rational root, no quadratic factorization")
+    # x^4 + 1 is reducible modulo every prime, so only that search certifies it
     K = NumberField([1, 0, 0, 0, 1])
     assert "quadratic" in K.irreducibility_certificate
     with pytest.raises(IrreducibilityError):
