@@ -15,14 +15,12 @@ floor max(73.2, 81 delta2/c) (_generic_floor) serve the specialized test too.
 The exact and generic criteria are each written once, as a function of
 floats or of numpy arrays (_exact_terms, _generic_terms), and their
 solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact a
-block of the (T, c) grid, minimal_T_generic the next four levels of the
-bisection tree of every candidate scale c at once (the 15 midpoints that
-four sequential steps could probe, each scale then taking the path the
-sequential bisection takes through them). A numpy margin (_margin) only
-decides points clear of zero; points near it are decided by eval_exact or
-eval_generic, so both solvers return what a scalar search would. One
-bisection per scale finds the generic least T, as the margin increases in T
-when alpha and beta are nondecreasing (the lemma in minimal_T_generic).
+block of the (T, c) grid, minimal_T_generic the 15 points that cut the
+bracket of every candidate scale c into 16 equal parts. A numpy margin
+(_margin) only decides points clear of zero; points near it are decided by
+eval_exact or eval_generic, so every pass flag is a scalar evaluation's.
+One bracket per scale finds the generic least T, as the margin increases in
+T when alpha and beta are nondecreasing (the lemma in minimal_T_generic).
 
 What the generic criterion needs of c alone (sqrt(c), the discriminant
 and kernel-slack terms, the majorant coefficients and the validity floor)
@@ -421,49 +419,12 @@ def _generic_passes(shape: FieldShape, T, s: _Scales, floor_mode: bool, margin=N
     return passed
 
 
-# a bisection stops at a relative width of _WIDTH; a block of its rounds
-# evaluates the next _LOOKAHEAD levels of every open scale's bisection tree
+# a scale's search stops at a relative width of _WIDTH; each round cuts
+# every open bracket into _PARTS equal parts, at most _MAX_ROUNDS rounds
+# (_PARTS ** _MAX_ROUNDS = 2^80 parts of the first bracket)
 _WIDTH = 1e-9
-_LOOKAHEAD = 4
-
-
-def _bisection_points(lo, hi, depth):
-    """lo, the 2^depth - 1 midpoints of depth bisection levels in ascending
-    order, and hi: an array of 2^depth + 1 rows, one column per bracket.
-
-    Level by level, each midpoint is 0.5 * (a + b) of its neighbours a < b
-    from the levels above, which is the point a sequential bisection of
-    [lo, hi] probes at that node, bit for bit.
-    """
-    points = np.empty((2 ** depth + 1, lo.size))
-    points[0], points[-1] = lo, hi
-    for level in range(depth):
-        step = 2 ** (depth - level)
-        points[step // 2::step] = 0.5 * (points[:-1:step] + points[step::step])
-    return points
-
-
-def _bisection_leaves(passed):
-    """Per column, the index i of the bracket [points[i], points[i + 1]]
-    that a sequential bisection reaches, given its pass flags at the
-    midpoints points[1:-1] of _bisection_points, ascending in T.
-
-    Where a column's flags are monotone in T, that is its first pass: i
-    counts the failing points. Any other column walks the tree as the
-    bisection would: probe the middle point, keep the lower half on a pass
-    and the upper half on a failure.
-    """
-    leaves = passed.shape[0] - passed.sum(axis=0)
-    drops = passed[:-1] > passed[1:]
-    if drops.any():
-        for j in np.flatnonzero(drops.any(axis=0)).tolist():
-            i, half = 0, (passed.shape[0] + 1) // 2
-            while half:
-                if not passed[i + half - 1, j]:
-                    i += half
-                half //= 2
-            leaves[j] = i
-    return leaves
+_PARTS = 16
+_MAX_ROUNDS = 20
 
 
 # the solver's path line of a scale, by how its search ended; each is
@@ -482,11 +443,12 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
 
     For each scale c of _candidate_scales, the least passing T in
     [floor(c), 4 log^2 disc] is the floor if it passes, none if the cap
-    fails, else the upper end of a bisection that keeps the lower half on a
-    pass, to a relative width of _WIDTH = 1e-9 (at most 80 steps). The
-    smallest T wins, ties going to the smaller c.
+    fails, else the upper end of a bracket [lo, hi], lo failing and hi
+    passing, narrowed to a relative width of _WIDTH = 1e-9. The smallest T
+    wins, ties going to the smaller c. The reported T passes eval_generic
+    and lies within 1e-9 relative of the crossing.
 
-    Lemma: the bisection brackets the least passing T, the single crossing.
+    Lemma: the bracket holds the least passing T, the single crossing.
     At a fixed c write u = sqrt(T), L = log(cT), M1 = 2n(c - 1 - log c) and
     M2 = n(c - 1) (_majorant_coefficients). If alpha and beta are
     nondecreasing (in floor mode they are constants), the margin increases
@@ -501,19 +463,15 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
 
     A solve builds its scale table (_Scales), with a size bound read from
     the evaluations at the floor and the cap (_size_bound) that also make
-    the floor and cap tests. All scales then bisect in lockstep, one numpy
-    evaluation (_generic_passes) per block of the next _LOOKAHEAD = 4
-    levels of every open scale's bisection tree (_bisection_points). Each
-    scale moves to the bracket that four sequential steps reach
-    (_bisection_leaves, whose tree walk follows flags that rounding near
-    the crossing makes non-monotone). Blocks skip the width test between
-    levels, so they run only while no scale can narrow inside one, a level
-    count taken once per solve from the starting widths; the last steps run
-    one level per block with the width test after each. Points whose margin
-    is within 1e-12 times the size bound of zero are decided by
-    eval_generic, so every pass flag, and with it the result, is the scalar
-    search's. The winner is re-checked by eval_generic, whose evaluation is
-    reported.
+    the floor and cap tests. All open scales then search in lockstep: each
+    round cuts every bracket into _PARTS = 16 equal parts, decides the 15
+    interior points in one numpy evaluation (_generic_passes), and keeps the
+    part that ends at the first passing point, or at hi if none passes; a
+    scale leaves once its bracket is narrow, and after _MAX_ROUNDS = 20
+    rounds the others report their passing hi. Points whose margin is within
+    1e-12 times the size bound of zero are decided by eval_generic, so every
+    pass flag is eval_generic's. The winner is re-checked by eval_generic,
+    whose evaluation is reported.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes.
@@ -539,27 +497,22 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
         idx, s = idx[ok], s.take(ok)
 
     if idx.size:
-        # bisect every bracketed scale in lockstep; a scale leaves once narrow.
-        # Each level halves a width and hi <= t_cap, so up to level `free`,
-        # two short of the ceiling of log2(min(hi - lo) / (_WIDTH max(1,
-        # t_cap))), every width is at least twice the narrow one (rounding the
-        # midpoints moves it by ulps): blocks of _LOOKAHEAD levels up to there
-        # need no width test between their levels
+        # at every open scale lo fails and hi passes
         rows, lo, hi = idx, s.floor, np.full(idx.size, t_cap)
-        free = math.ceil(math.log2(np.min(hi - lo) / (_WIDTH * max(1.0, t_cap)))) - 2
-        steps = 0
-        while rows.size and steps < 80:
-            depth = _LOOKAHEAD if steps + _LOOKAHEAD <= free else 1
-            points = _bisection_points(lo, hi, depth)
-            leaf = _bisection_leaves(_generic_passes(shape, points[1:-1], s, floor_mode))
+        for _ in range(_MAX_ROUNDS):
+            points = np.linspace(lo, hi, _PARTS + 1)
+            passed = _generic_passes(shape, points[1:-1], s, floor_mode)
+            # the index in points of the first passing interior point, or of hi
+            first = np.where(passed.any(axis=0), passed.argmax(axis=0) + 1, _PARTS)
             cols = np.arange(rows.size)
-            lo, hi = points[leaf, cols], points[leaf + 1, cols]
-            steps += depth
+            lo, hi = points[first - 1, cols], points[first, cols]
             narrow = hi - lo <= _WIDTH * np.maximum(1.0, hi)
             if np.count_nonzero(narrow):
                 best[rows[narrow]] = hi[narrow]
                 wide = ~narrow
                 rows, s, lo, hi = rows[wide], s.take(wide), lo[wide], hi[wide]
+            if not rows.size:
+                break
         best[rows] = hi
         how[idx] = _BISECTION
 

@@ -119,7 +119,7 @@ def _reduce_definite(form, d):
     return (a, b, c)
 
 
-def _is_reduced_indefinite(form, d, sq):
+def _is_reduced_indefinite(form, d):
     a, b, _ = form
     if b <= 0 or b * b >= d:
         return False
@@ -147,7 +147,7 @@ def _rho(form, d, sq):
 
 def _reduce_indefinite(form, d, sq):
     for _ in range(10000):
-        if _is_reduced_indefinite(form, d, sq):
+        if _is_reduced_indefinite(form, d):
             return form
         form = _rho(form, d, sq)
     raise ArithmeticInvariantError(f"reduction did not terminate for {form}, d={d}")
@@ -283,7 +283,7 @@ def _enumerate_reduced(d, roots):
         for b0 in roots(a):
             b = lo + (b0 - lo) % (2 * a)
             c = (b * b - d) // (4 * a)
-            if _is_reduced_indefinite((a, b, c), d, sq):
+            if _is_reduced_indefinite((a, b, c), d):
                 out += [(a, b, c), (-a, b, -c)]
     return sorted(out)
 
@@ -511,7 +511,7 @@ def class_group(disc: int) -> ClassGroupDescription:
 def _generating_prime_bound(disc: int) -> int:
     """A bound whose prime ideals generate the class group: floor(sqrt(|d|/3))
     for d < 0, floor(sqrt(d)/2) (Minkowski) for d > 0."""
-    return math.isqrt(-disc // 3) if disc < 0 else math.isqrt(disc) // 2
+    return _max_leading(disc) if disc < 0 else _max_leading(disc) // 2
 
 
 def _prime_form(disc: int, p: int, roots):

@@ -5,9 +5,11 @@ time, and takes every field sum by math.fsum over the prime-ideal powers
 that ideal_stream enumerates prime by prime; the solver evaluates whole
 blocks of the grid from prefix sums. Both must pick the same (T, c), and
 the prefix sums must match the fsum values on random windows. The generic
-reference searches each scale c on its own with one eval_generic call per
-point; the solver runs all scales in lockstep on numpy arrays, and both
-must give the same (T, c) and evaluation. Where the generic criterion,
+reference bisects each scale c on its own with one eval_generic call per
+point; the solver searches all scales in lockstep on numpy arrays. Both
+bracket the same crossing to a relative width of 1e-9, so they must pick
+the same c and T within 1e-9 relative, and the solver must report
+eval_generic's evaluation at its (T, c). Where the generic criterion,
 which bounds the field sums by majorants, passes, the exact one must pass
 at the same (T, c).
 """
@@ -233,6 +235,20 @@ def reference_minimal_T_generic(shape, floor_mode):
     return best
 
 
+# the solver and the scalar bisection each end at a passing T within a
+# relative 1e-9 above the same crossing
+GENERIC_T_REL_TOL = 1e-9
+
+
+def assert_same_crossing(report, want, shape, floor_mode):
+    """report of minimal_T_generic against (T, c) of the scalar search."""
+    t, c = want
+    assert report.c_used == c, (shape, floor_mode)
+    assert abs(report.T_bound - t) <= GENERIC_T_REL_TOL * t, (shape, floor_mode)
+    ev = eval_generic(shape, TestConfig(report.T_bound, report.c_used), floor_mode)
+    assert ev.passed and report.evaluation == ev, (shape, floor_mode)
+
+
 def signatures(degrees):
     return [(n, r1) for n in degrees for r1 in range(n % 2, n + 1, 2)]
 
@@ -265,10 +281,7 @@ def test_generic_solver_matches_scalar_search(degree):
             with pytest.raises(NoBoundCertifiedError):
                 minimal_T_generic(shape, floor_mode)
             continue
-        report = minimal_T_generic(shape, floor_mode)
-        assert (report.T_bound, report.c_used) == want, (shape, floor_mode)
-        ev = eval_generic(shape, TestConfig(*want), floor_mode)
-        assert report.margin == ev.margin and report.evaluation == ev
+        assert_same_crossing(minimal_T_generic(shape, floor_mode), want, shape, floor_mode)
 
 
 def test_generic_margin_increases_from_the_floor():
@@ -290,7 +303,7 @@ def test_generic_margin_increases_from_the_floor():
 
 @pytest.mark.parametrize("degree", range(2, 11))
 def test_generic_bound_is_least(degree):
-    # checked by eval_generic alone: the bisection ends within a relative
+    # checked by eval_generic alone: the search ends within a relative
     # 1e-9 of T_bound, so every scale valid at t = T_bound (1 - 2e-9) fails
     # there, and the margin, increasing in T at each scale (the lemma of
     # minimal_T_generic), fails below t too; so no smaller T passes. With
@@ -307,10 +320,15 @@ def test_generic_bound_is_least(degree):
 
 
 def test_generic_solver_anchors():
+    # within 1e-9 relative of the anchors of the plain bisection,
+    # 3093.9314443198123 and 2824.170784304088
     report = minimal_T_generic(FieldShape(2, 0, 30.0))
-    assert (report.T_bound, report.c_used) == (3093.9314443198123, 1.03125)
+    assert (report.T_bound, report.c_used) == (3093.931444319812, 1.03125)
     assert report.criterion_id == "generic" and report.evaluation.passed
-    assert minimal_T_generic(FieldShape(2, 2, 30.0)).T_bound == 2824.170784304088
+    t = minimal_T_generic(FieldShape(2, 2, 30.0)).T_bound
+    assert t == 2824.170784304088
+    for got, bisected in ((report.T_bound, 3093.9314443198123), (t, 2824.170784304088)):
+        assert abs(got - bisected) <= GENERIC_T_REL_TOL * bisected
 
 
 def test_generic_scale_is_plain_float():
@@ -329,72 +347,37 @@ def test_generic_solver_confirms_near_zero_margins(monkeypatch):
     monkeypatch.setattr(criteria_engine, "eval_generic", counted)
     shape = FieldShape(4, 2, 30.0)
     report = minimal_T_generic(shape)
-    # one bisection midpoint lies within 1e-14 of the terms' size of zero,
-    # so the numpy margin cannot decide it; the last call is the re-check
+    # some search points lie within 1e-14 of the terms' size of zero, so
+    # the numpy margin cannot decide them; the last call is the re-check
     assert len(calls) >= 2
     monkeypatch.undo()
-    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+    assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
 
 
-def test_bisection_block_matches_sequential_steps():
-    # every pass-flag pattern of one to four levels, on brackets of several
-    # sizes: the block's points are the midpoints the sequential bisection
-    # probes, bit for bit, and its leaf is the bracket that bisection reaches
-    lo = np.array([73.2, 1000.0, 1.0e11, 81.0 / 1.03125])
-    hi = np.array([3600.0, 1000.0 + 1e-6, 1.6e11, 2718.28])
-    for depth in range(1, 5):
-        points = criteria_engine._bisection_points(lo, hi, depth)
-        assert (np.diff(points, axis=0) > 0).all()
-        n = 2 ** depth - 1
-        # column `pattern` passes at points[j + 1] where bit j of pattern is set
-        flags = (np.arange(2 ** n) >> np.arange(n)[:, None] & 1).astype(bool)
-        patterns = flags.T.tolist()
-        leaves = criteria_engine._bisection_leaves(flags)
-        monotone = (flags[1:] >= flags[:-1]).all(axis=0)
-        assert (leaves[monotone] == n - flags[:, monotone].sum(axis=0)).all()
-        for column in points.T.tolist():
-            position = {t: i for i, t in enumerate(column)}
-            for pattern, passed in enumerate(patterns):
-                a, b = column[0], column[-1]
-                for _ in range(depth):
-                    mid = 0.5 * (a + b)
-                    if passed[position[mid] - 1]:
-                        b = mid
-                    else:
-                        a = mid
-                assert (a, b) == (column[leaves[pattern]], column[leaves[pattern] + 1]), (depth, pattern)
-
-
-def test_generic_solver_walks_non_monotone_blocks(monkeypatch):
+def test_generic_solver_first_pass_on_non_monotone_flags(monkeypatch):
     # a step in alpha makes the margin pass on a band of y = cT 30 wide,
-    # narrower than the spacing (3600 - 73.2)/16 of a first block's points,
-    # so some scale's block flags pass below a failure. The scalar search
-    # bisects past the band, so the bound is the one without the step
-    # (test_generic_solver_anchors); ending such a scale at its first pass
-    # would return a T inside the band instead
+    # narrower than the spacing (3600 - 73.2)/16 of a first round's points,
+    # so some scale's flags pass below a failure. That breaks the lemma's
+    # premise, alpha and beta nondecreasing, on which alone the least-ness
+    # of the reported T rests (to be certified in interval arithmetic,
+    # ROADMAP item 1). The search then keeps the part ending at a scale's
+    # first pass, so the bound lies inside the band, below the 2824.17 of
+    # the unbumped alpha (test_generic_solver_anchors), and still passes
     def bumped(y):
         return alpha(y) + 100.0 * ((1750.0 < y) & (y < 1780.0))
 
-    walked = []
-
-    def leaves(passed):
-        walked.append(bool((passed[:-1] > passed[1:]).any()))
-        return bisection_leaves(passed)
-
-    bisection_leaves = criteria_engine._bisection_leaves
     monkeypatch.setattr(criteria_engine, "alpha", bumped)
-    monkeypatch.setattr(criteria_engine, "_bisection_leaves", leaves)
     shape = FieldShape(2, 2, 30.0)
     report = minimal_T_generic(shape)
-    assert any(walked)
-    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
-    assert report.T_bound == 2824.170784304088
+    assert 1750.0 < report.c_used * report.T_bound < 1780.0
+    assert report.T_bound < 2824.0
+    ev = eval_generic(shape, TestConfig(report.T_bound, report.c_used))
+    assert ev.passed and report.evaluation == ev
 
 
-def test_generic_solver_one_level_blocks_near_the_floor(monkeypatch):
-    # the cap lies 1e-8 above the floor 73.2, too close for a block of four
-    # levels to end before a scale may narrow, so every bisection block is
-    # one level; alpha drops below y0, so one scale fails at the floor and
+def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
+    # the cap lies 1e-8 above the floor 73.2, so a bracket is narrow after
+    # one round; alpha drops below y0, so one scale fails at the floor and
     # passes at the cap, the larger scales pass at the floor and the smaller
     # ones nowhere
     shape = FieldShape(3, 3, math.sqrt(73.2 * (1.0 + 1e-8) / 4.0))
@@ -416,14 +399,15 @@ def test_generic_solver_one_level_blocks_near_the_floor(monkeypatch):
     report = minimal_T_generic(shape)
     assert sum("bisection" in step for step in report.solver_path) == 1
     assert f"c={c:.6f}: bisection" in "".join(report.solver_path)
-    # floor, cap, then at least two bisection blocks, all of one level
-    assert len(rows) >= 4 and max(rows[2:]) == 1
-    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+    # floor, cap, then one round of 15 points for the one bracketed scale:
+    # a 16th of its bracket, 1e-8 relative wide, is narrow
+    assert rows == [1, 1, 15]
+    assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
 
 
 def test_generic_solver_evaluations_per_solve(monkeypatch):
-    # floor and cap take one evaluation each, and the 30 bisection steps
-    # 7 blocks of four levels and 2 of one level
+    # floor and cap take one evaluation each, and the search 8 rounds: the
+    # bracket [floor, 4e6] narrows to 1e-9 of T near 3.9e6 in 16^8 parts
     calls = []
 
     def passes(*args, **kwargs):
@@ -434,8 +418,8 @@ def test_generic_solver_evaluations_per_solve(monkeypatch):
     monkeypatch.setattr(criteria_engine, "_generic_passes", passes)
     shape = FieldShape(6, 0, 1000.0)
     report = minimal_T_generic(shape)
-    assert len(calls) <= 11
-    assert (report.T_bound, report.c_used) == reference_minimal_T_generic(shape, False)
+    assert len(calls) <= 10
+    assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
 
 
 def test_generic_floor_above_cap():
@@ -612,6 +596,29 @@ def test_threshold_gap_out_of_range(degree):
     for gap in (0.0, -0.1, 1.0 / (2.0 * degree) + 1e-9, 0.5):
         with pytest.raises(PreconditionError):
             loglog_disc_threshold(degree, target_gap=gap)
+
+
+# pass rules in T = 3.75 x^2 (degree 2, gap 1/4) that reach each failure of
+# the threshold search: no pass up to x = e^41, a pass down to x = e^1, and
+# a pass band x in [e^12.5, 1.9 e^12.5], which of the scan beyond the root
+# only its last point, twice the root, leaves
+THRESHOLD_FAILURES = {
+    "did not bracket a root": lambda T: False,
+    "passes at every probed size": lambda T: True,
+    "not monotone beyond the threshold": lambda T: 1.0 <= math.sqrt(T / 3.75) / math.exp(12.5) <= 1.9,
+}
+
+
+@pytest.mark.parametrize("message", sorted(THRESHOLD_FAILURES))
+def test_threshold_no_bound_paths(monkeypatch, message):
+    rule = THRESHOLD_FAILURES[message]
+
+    def ruled(shape, cfg, floor_mode=False):
+        return TestEvaluation("generic-floor", 1.0 if rule(cfg.T) else -1.0, ())
+
+    monkeypatch.setattr(criteria_engine, "eval_generic", ruled)
+    with pytest.raises(NoBoundCertifiedError, match=message):
+        loglog_disc_threshold(2)
 
 
 # the rounded slopes of degrees 4..12, frozen

@@ -439,7 +439,7 @@ def test_smith_invariants_match_minors():
 
 
 def test_reduce_indefinite_raises_when_stuck(monkeypatch):
-    monkeypatch.setattr(quadratic_classgroup, "_is_reduced_indefinite", lambda form, d, sq: False)
+    monkeypatch.setattr(quadratic_classgroup, "_is_reduced_indefinite", lambda form, d: False)
     with pytest.raises(ArithmeticInvariantError):
         _reduce_indefinite((1, 1, -1), 5, 2)
 
