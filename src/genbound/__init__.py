@@ -6,7 +6,7 @@ number field, with T of size (4 - eps) log^2 Delta. Submodules:
 
 - analytic_kernel: the archimedean coefficients alpha and beta
 - rational_sieve: primes and the prefix-sum index over norms
-- arith: primality, factoring and the Kronecker symbol
+- arith: primality, factoring and fundamental discriminants
 - polynomials: exact polynomial arithmetic over Z and GF(p): resultants,
   discriminants, Sturm chains, factor shapes mod p, Dedekind's criterion
 - number_field: defining polynomials, discriminants, prime splitting, and

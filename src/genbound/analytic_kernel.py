@@ -25,35 +25,35 @@ _LOG2 = math.log(2.0)
 _BETA_SHIFT = 0.5772156649015329 + math.log(2.0 * math.pi)  # gamma + log 2pi
 
 
-def _checked_array(y: np.ndarray, name: str):
-    """numpy, once every element of y is checked to exceed 1.
+def _check_domain(y, name: str) -> None:
+    """Raise unless y > 1: the float y, or every element of the array y.
 
-    The least element decides, nan included (nan > 1 is false): y.min()
-    makes no boolean temporary, which halves the check on a small array.
-    An empty y passes.
+    An array's least element decides, nan included (nan > 1 is false):
+    y.min() makes no boolean temporary, which halves the check on a small
+    array. An empty array passes.
     """
-    if y.size and not y.min() > 1.0:
+    if isinstance(y, np.ndarray):
+        if y.size and not y.min() > 1.0:
+            raise ValueError(f"{name} needs y > 1")
+    elif not y > 1.0:
         raise ValueError(f"{name} needs y > 1")
-    return np
 
 
-# alpha and beta serve scalar callers in the hot loops of the generic
-# solvers and whole grids in the exact solver; one formula runs on the math
-# module or on numpy, and the scalar path pays only one isinstance test
+# alpha and beta serve single points (eval_generic, eval_exact) and whole
+# arrays (the solvers); one numpy formula runs on both, called directly on
+# a float rather than on np.asarray of it, which would triple the cost of a
+# scalar call. numpy computes each element the same way whatever the
+# array's shape, so a float's value is bit for bit that of its array
+# element
 def alpha(y):
     """Normalized 1/cosh coefficient: the 1/cosh integral at e^L = y, per e^{L/2}.
 
     Increasing and positive on y > 1, with horizontal asymptote 2 log 2.
     Stable up to y = 1e12 and beyond. A numpy array y is mapped elementwise.
     """
-    if isinstance(y, np.ndarray):
-        xp = _checked_array(y, "alpha")
-    elif y > 1.0:
-        xp = math
-    else:
-        raise ValueError("alpha needs y > 1")
-    s = xp.sqrt(y)
-    return (-xp.log(y) + 2.0 * (s + 1.0) * (_LOG2 - xp.log1p(1.0 / s))) / s
+    _check_domain(y, "alpha")
+    s = np.sqrt(y)
+    return (-np.log(y) + 2.0 * (s + 1.0) * (_LOG2 - np.log1p(1.0 / s))) / s
 
 
 def beta(y):
@@ -63,12 +63,6 @@ def beta(y):
     in the raw form degenerates at y = 1, hence the domain restriction. A numpy
     array y is mapped elementwise.
     """
-    if isinstance(y, np.ndarray):
-        xp = _checked_array(y, "beta")
-    elif y > 1.0:
-        xp = math
-    else:
-        raise ValueError("beta needs y > 1")
-    s = xp.sqrt(y)
-    return (-xp.log(y) + 2.0 * (s - 1.0) * (xp.log1p(-1.0 / s) + _BETA_SHIFT)) / s
-
+    _check_domain(y, "beta")
+    s = np.sqrt(y)
+    return (-np.log(y) + 2.0 * (s - 1.0) * (np.log1p(-1.0 / s) + _BETA_SHIFT)) / s

@@ -1,10 +1,10 @@
-"""Small exact integer helpers: primality, factoring, Kronecker symbol."""
+"""Small exact integer helpers: primality, factoring, fundamental discriminants."""
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["is_probable_prime", "factorize", "kronecker"]
+__all__ = ["is_probable_prime", "factorize", "is_fundamental_discriminant"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 1_000_000
@@ -66,34 +66,18 @@ def factorize(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), fully general."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # factor out twos of n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # quadratic reciprocity loop on odd n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+def is_fundamental_discriminant(d: int) -> bool:
+    """Whether d is the discriminant of a quadratic field: d = 1 (mod 4)
+    squarefree, or d = 4m with m = 2, 3 (mod 4) squarefree."""
+    if d in (0, 1):
+        return False
+    if d % 4 == 1:
+        fac, cof = factorize(d)
+        return cof == 1 and all(e == 1 for e in fac.values())
+    if d % 4 == 0:
+        m = d // 4
+        if m % 4 not in (2, 3):
+            return False
+        fac, cof = factorize(m)
+        return cof == 1 and all(e == 1 for e in fac.values())
+    return False

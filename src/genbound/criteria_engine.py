@@ -12,23 +12,32 @@ The generic form bounds a degree-n field's weighted prime-ideal sum over
 T >= SCHOENFELD_FLOOR; its c-only factors (_majorant_coefficients) and its
 floor max(73.2, 81 delta2/c) (_generic_floor) serve the specialized test too.
 
-The exact and generic criteria are each written once, as a function of
-floats or of numpy arrays (_exact_terms, _generic_terms), and their
-solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact a
-block of the (T, c) grid, minimal_T_generic the 15 points that cut the
-bracket of every candidate scale c into 16 equal parts. A numpy margin
-(_margin) only decides points clear of zero; points near it are decided by
-eval_exact or eval_generic, so every pass flag is a scalar evaluation's.
-One bracket per scale finds the generic least T, as the margin increases in
-T when alpha and beta are nondecreasing (the lemma in minimal_T_generic).
+The exact and generic criteria are each written once, in numpy, as a
+function of floats or of numpy arrays (_exact_terms, _generic_terms), and
+their solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact
+a block of the (T, c) grid, minimal_T_generic the 15 points that cut the
+bracket of every candidate scale c into 16 equal parts. A margin is the
+lhs less each term in order (_margin), for one point (TestEvaluation.margin)
+as for an array, and margin > 0 decides every point. One bracket per scale
+finds the generic least T, as the margin increases in T when alpha and beta
+are nondecreasing (the lemma in minimal_T_generic).
+
+The premise that makes a scalar evaluation and the array element at the
+same (T, c) one float: numpy computes each element of a ufunc the same way
+whatever the array's shape, stride or position in it, and np.float64
+arithmetic is the same IEEE operation as the array loops. The terms
+therefore take every operation from numpy, squares included (np.square:
+a float's ** 2 calls pow, which can round differently from x * x). Each
+solver re-checks its answer with eval_exact or eval_generic, whose
+evaluation it reports; a breach of the premise there raises
+ArithmeticInvariantError, so every reported bound passes its scalar
+evaluation.
 
 What the generic criterion needs of c alone (sqrt(c), the discriminant
 and kernel-slack terms, the majorant coefficients and the validity floor)
 is taken once per scale, in _Scales: one row of floats for eval_generic,
 and for each minimal_T_generic solve one scale table of arrays over the
-candidate scales. The table also carries, per scale, a bound on
-|lhs| + sum |term| over [floor, 4 log^2 disc], against which a numpy
-margin counts as near zero.
+candidate scales.
 """
 
 import math
@@ -40,7 +49,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic_kernel import alpha, beta
-from .errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
+from .errors import (
+    ArithmeticInvariantError,
+    NoBoundCertifiedError,
+    PreconditionError,
+    WindowTooWideError,
+)
 
 # least T of the generic criterion: its majorant rests on the RH bound
 # psi(u) <= u + sqrt(u) log^2 u / (4 pi) for u >= 73.2 (Schoenfeld, Math. Comp. 30, 1976)
@@ -126,16 +140,18 @@ class TestEvaluation:
     rhs_terms: tuple  # ((name, value), ...) in fixed order
 
     @property
-    def rhs(self) -> float:
-        return math.fsum(v for _, v in self.rhs_terms)
-
-    @property
     def margin(self) -> float:
-        return self.lhs - self.rhs
+        """The lhs less each term in order: _margin, as the solvers take it."""
+        return _margin(self.lhs, self.rhs_terms)
 
     @property
     def passed(self) -> bool:
         return self.margin > 0.0
+
+
+def _evaluation(criterion_id: str, lhs, terms) -> TestEvaluation:
+    """A TestEvaluation of plain floats from the lhs and named terms of one point."""
+    return TestEvaluation(criterion_id, float(lhs), tuple((name, float(v)) for name, v in terms))
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,7 @@ def _exact_terms(field, T, c):
     ct = c * T
     a = np.sqrt(ct)
     primes, powers = field.norm_indexes(np.max(ct))
-    lhs = (a - 1.0 - 0.5 * np.log(ct)) ** 2
+    lhs = np.square(a - 1.0 - 0.5 * np.log(ct))
     terms = (
         ("discriminant", 2.0 * (a - 1.0) * field.log_abs_disc),
         ("arch_real", -field.r1 * a * alpha(ct)),
@@ -182,33 +198,30 @@ def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
     the 73.2/81 floors belong to the majorant-based tests.
     """
     lhs, terms = _exact_terms(field, cfg.T, cfg.c)
-    return TestEvaluation("exact", float(lhs), tuple((name, float(v)) for name, v in terms))
+    return _evaluation("exact", lhs, terms)
 
 
 def _generic_floor(degree: int, c, floor_mode: bool):
     """Least T at which the generic test is valid, for a float c or a numpy array of them."""
     base = FLOOR_MODE_MIN_T if floor_mode else SCHOENFELD_FLOOR
-    short = _delta2(degree) * SHORT_POWER_MIN_CT / c
-    return np.maximum(base, short) if isinstance(short, np.ndarray) else max(base, short)
+    return np.maximum(base, _delta2(degree) * SHORT_POWER_MIN_CT / c)
 
 
 def _majorant_coefficients(c, n: int):
     """The factors of the two degree-n majorant terms that depend on c alone.
 
     2n(c - 1 - log c) and n(c - 1): _generic_terms times the first by
-    sqrt(T) and the second by log^2(cT) / (2 pi). c is a float, evaluated
-    with the math module, or a numpy array.
+    sqrt(T) and the second by log^2(cT) / (2 pi). c is a float or a numpy
+    array.
     """
-    log_c = np.log(c) if isinstance(c, np.ndarray) else math.log(c)
-    return 2.0 * n * (c - 1.0 - log_c), n * (c - 1.0)
+    return 2.0 * n * (c - 1.0 - np.log(c)), n * (c - 1.0)
 
 
 class _Scales(NamedTuple):
     """The parts of the generic criterion that depend on the scale c alone.
 
     Floats for one scale (eval_generic), or numpy arrays with one entry per
-    scale: the scale table of a minimal_T_generic solve, which alone fills
-    in size.
+    scale: the scale table of a minimal_T_generic solve.
     """
 
     c: object
@@ -218,16 +231,15 @@ class _Scales(NamedTuple):
     majorant_linear: object  # _majorant_coefficients
     majorant_log_sq: object
     floor: object  # validity floor, _generic_floor
-    size: object = None  # bound on |lhs| + sum |term| over [floor, 4 log^2 disc]
 
     def take(self, i) -> "_Scales":
         """The scales at index, slice or mask i of every array field."""
-        return _Scales(*(None if v is None else v[i] for v in self))
+        return _Scales(*(v[i] for v in self))
 
 
 def _scales(shape: FieldShape, c, floor_mode: bool) -> _Scales:
     """The c-only parts of the generic criterion at a float c or an array of scales."""
-    sc = np.sqrt(c) if isinstance(c, np.ndarray) else math.sqrt(c)
+    sc = np.sqrt(c)
     linear, log_sq = _majorant_coefficients(c, shape.degree)
     return _Scales(c, sc, 2.0 * sc * shape.log_disc, 2.0 * sc - 1.0, linear, log_sq,
                    _generic_floor(shape.degree, c, floor_mode))
@@ -236,17 +248,15 @@ def _scales(shape: FieldShape, c, floor_mode: bool) -> _Scales:
 def _generic_terms(shape: FieldShape, T, s: _Scales, floor_mode: bool):
     """LHS and named RHS terms of the generic criterion at (T, s.c).
 
-    T and the fields of s are floats, evaluated with the math module as
-    alpha and beta are, or numpy arrays that broadcast together. sqrt(T) and
-    log(cT) are taken once, and alpha and beta are each called once; they
-    are looked up in this module's namespace, so wrappers placed there see
-    array calls too.
+    T and the fields of s are floats or numpy arrays that broadcast
+    together. sqrt(T) and log(cT) are taken once, and alpha and beta are
+    each called once; they are looked up in this module's namespace, so
+    wrappers placed there see array calls too.
     """
-    xp = np if isinstance(T, np.ndarray) or isinstance(s.c, np.ndarray) else math
     ct = s.c * T
     sc = s.sqrt_c
-    st = xp.sqrt(T)
-    L = xp.log(ct)
+    st = np.sqrt(T)
+    L = np.log(ct)
     n, d2 = shape.degree, shape.delta2
     a_val = ALPHA_FLOOR if floor_mode else alpha(ct)
     b_val = BETA_FLOOR if floor_mode else beta(ct)
@@ -277,7 +287,7 @@ def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -
     if T > 4.0 * shape.log_disc ** 2 * (1 + 1e-15):
         raise PreconditionError("need T <= 4 log^2 disc to absorb the residual disc term")
     lhs, terms = _generic_terms(shape, T, s, floor_mode)
-    return TestEvaluation("generic-floor" if floor_mode else "generic", lhs, terms)
+    return _evaluation("generic-floor" if floor_mode else "generic", lhs, terms)
 
 
 def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
@@ -287,7 +297,7 @@ def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
         raise ValueError("alpha_target must be positive")
     if c < 1.0:
         raise ValueError("need c >= 1")
-    den = c - _majorant_coefficients(c, degree)[0]
+    den = c - float(_majorant_coefficients(c, degree)[0])
     if den <= 0.0:
         raise WindowTooWideError(f"window denominator nonpositive at c={c:g}, degree {degree}")
     return (den / math.sqrt(c) - 2.0 / math.sqrt(alpha_target)) / math.sqrt(c)
@@ -348,7 +358,7 @@ def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
         ("window_log", 2.0 * ls),
         ("majorant_log_sq", k.log_sq_coeff * ls * ls),
     )
-    return TestEvaluation(f"degree-{degree}", k.slope * s, terms)
+    return _evaluation(f"degree-{degree}", k.slope * s, terms)
 
 
 @lru_cache(maxsize=None)
@@ -362,61 +372,11 @@ def _candidate_scales(degree: int) -> tuple:
     return tuple(sorted(cs))
 
 
-# an array margin within this share of the size bound _Scales.size of zero
-# is decided by eval_generic; numpy's log and summation order move a
-# margin by some 1e-15 of |lhs| + sum |term|, which the bound dominates
-_GENERIC_SLACK = 1e-12
-
-# the size bound sums each term's larger size at the floor or the cap,
-# widened by this share for rounding
-_SIZE_ROUNDING = 1e-12
-
-
 def _margin(lhs, terms):
+    """The lhs less each term in order, for one point or for arrays of them."""
     for _, v in terms:
         lhs = lhs - v
     return lhs
-
-
-def _size_bound(at_floor, at_cap):
-    """Bound on |lhs| + sum |term| over T in [floor, cap], from the two ends.
-
-    at_floor and at_cap are _generic_terms at T = floor and T = cap. At a
-    fixed scale the lhs and every term are monotone in T: each is a factor
-    fixed per scale times a constant (the discriminant and kernel-slack
-    terms, and the archimedean terms in floor mode), times 29/sqrt(T) less a
-    constant, which decreases, or times sqrt(T), log(cT), log^2(cT) with
-    cT > 1, alpha(cT) or beta(cT), which increase (analytic_kernel). A
-    monotone f on an interval has |f| <= max(|f(floor)|, |f(cap)|) at every
-    point, so the sum of those maxima bounds the sum of the sizes at every
-    T in between. The sum is widened by _SIZE_ROUNDING: evaluated in floats
-    and summed in another order, a size in between can exceed it by ulps.
-    """
-    (lhs_lo, terms_lo), (lhs_hi, terms_hi) = at_floor, at_cap
-    size = np.maximum(np.abs(lhs_lo), np.abs(lhs_hi))
-    for (_, lo), (_, hi) in zip(terms_lo, terms_hi):
-        size = size + np.maximum(np.abs(lo), np.abs(hi))
-    return size * (1.0 + _SIZE_ROUNDING)
-
-
-def _generic_passes(shape: FieldShape, T, s: _Scales, floor_mode: bool, margin=None) -> np.ndarray:
-    """eval_generic(...).passed at every point of T, an array broadcasting with s.
-
-    One numpy evaluation (or the margin already taken at T) decides the
-    points whose margin clears zero by more than _GENERIC_SLACK times the
-    size bound s.size; eval_generic decides the others, one at a time. A
-    bound above the true size only sends more points to eval_generic, so
-    every decision is eval_generic's.
-    """
-    if margin is None:
-        margin = _margin(*_generic_terms(shape, T, s, floor_mode))
-    passed = margin > 0.0
-    near = np.abs(margin) <= _GENERIC_SLACK * s.size
-    if np.count_nonzero(near):
-        T, c = np.broadcast_arrays(T, s.c)
-        for i in zip(*np.nonzero(near)):
-            passed[i] = eval_generic(shape, TestConfig(float(T[i]), float(c[i])), floor_mode).passed
-    return passed
 
 
 # a scale's search stops at a relative width of _WIDTH; each round cuts
@@ -429,12 +389,12 @@ _MAX_ROUNDS = 20
 
 # the solver's path line of a scale, by how its search ended; each is
 # formatted with (c, floor, cap, least T)
-_FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BISECTION = range(4)
+_FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BRACKET = range(4)
 _PATH_FORMATS = (
     "c={0:.6f}: floor {1:.6g} above cap {2:.6g}",
     "c={0:.6f}: passes at the floor T={3:.6g}",
     "c={0:.6f}: no pass up to T={2:.6g}",
-    "c={0:.6f}: bisection, least T={3:.6g}",
+    "c={0:.6f}: bracket search, least T={3:.6g}",
 )
 
 
@@ -461,20 +421,20 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     least 1.73 for every degree 2..199, candidate scale and floor mode (the
     least at n = 4, c = 1.25; test_generic_margin_increases_from_the_floor).
 
-    A solve builds its scale table (_Scales), with a size bound read from
-    the evaluations at the floor and the cap (_size_bound) that also make
-    the floor and cap tests. All open scales then search in lockstep: each
-    round cuts every bracket into _PARTS = 16 equal parts, decides the 15
-    interior points in one numpy evaluation (_generic_passes), and keeps the
-    part that ends at the first passing point, or at hi if none passes; a
-    scale leaves once its bracket is narrow, and after _MAX_ROUNDS = 20
-    rounds the others report their passing hi. Points whose margin is within
-    1e-12 times the size bound of zero are decided by eval_generic, so every
-    pass flag is eval_generic's. The winner is re-checked by eval_generic,
-    whose evaluation is reported.
+    A solve builds its scale table (_Scales), tests every valid scale at
+    its floor and the scales that fail there at the cap, each test one numpy
+    evaluation. All open scales then search in lockstep: each round cuts
+    every bracket into _PARTS = 16 equal parts, evaluates the 15 interior
+    points in one numpy call, and keeps the part that ends at the first
+    passing point, or at hi if none passes; a scale leaves once its bracket
+    is narrow, and after _MAX_ROUNDS = 20 rounds the others report their
+    passing hi. margin > 0 decides every point, and each margin is the float
+    eval_generic gives at that point (the premise in the module docstring).
+    The winner is re-checked by eval_generic, whose evaluation is reported.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
-    T <= 4 log^2 disc passes.
+    T <= 4 log^2 disc passes, and ArithmeticInvariantError when eval_generic
+    fails at the winner, as the scalar and the array then disagree.
     """
     t_cap = 4.0 * shape.log_disc ** 2
     table = _scales(shape, np.array(_candidate_scales(shape.degree)), floor_mode)
@@ -482,26 +442,21 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     how = np.full(table.c.size, _FLOOR_ABOVE_CAP)
 
     idx = np.flatnonzero(table.floor <= t_cap)
-    if idx.size:
-        s = table.take(idx)
-        at_floor = _generic_terms(shape, s.floor, s, floor_mode)
-        at_cap = _generic_terms(shape, t_cap, s, floor_mode)
-        s = s._replace(size=_size_bound(at_floor, at_cap))
-        cap_margin = _margin(*at_cap)
-        ok = _generic_passes(shape, s.floor, s, floor_mode, _margin(*at_floor))
-        best[idx[ok]] = s.floor[ok]
-        how[idx[ok]] = _AT_FLOOR
-        idx, s, cap_margin = idx[~ok], s.take(~ok), cap_margin[~ok]
-        ok = _generic_passes(shape, t_cap, s, floor_mode, cap_margin)
-        how[idx[~ok]] = _NO_PASS
-        idx, s = idx[ok], s.take(ok)
+    s = table.take(idx)
+    ok = _margin(*_generic_terms(shape, s.floor, s, floor_mode)) > 0.0
+    best[idx[ok]] = s.floor[ok]
+    how[idx[ok]] = _AT_FLOOR
+    idx, s = idx[~ok], s.take(~ok)
+    ok = _margin(*_generic_terms(shape, t_cap, s, floor_mode)) > 0.0
+    how[idx[~ok]] = _NO_PASS
+    idx, s = idx[ok], s.take(ok)
 
     if idx.size:
         # at every open scale lo fails and hi passes
         rows, lo, hi = idx, s.floor, np.full(idx.size, t_cap)
         for _ in range(_MAX_ROUNDS):
             points = np.linspace(lo, hi, _PARTS + 1)
-            passed = _generic_passes(shape, points[1:-1], s, floor_mode)
+            passed = _margin(*_generic_terms(shape, points[1:-1], s, floor_mode)) > 0.0
             # the index in points of the first passing interior point, or of hi
             first = np.where(passed.any(axis=0), passed.argmax(axis=0) + 1, _PARTS)
             cols = np.arange(rows.size)
@@ -514,7 +469,7 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
             if not rows.size:
                 break
         best[rows] = hi
-        how[idx] = _BISECTION
+        how[idx] = _BRACKET
 
     k = int(np.argmin(best))
     if best[k] == np.inf:
@@ -525,7 +480,9 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     t, c = float(best[k]), float(table.c[k])
     ev = eval_generic(shape, TestConfig(t, c), floor_mode)
     if not ev.passed:
-        raise NoBoundCertifiedError(f"least T={t:g} found at c={c:g} fails on re-evaluation")
+        raise ArithmeticInvariantError(
+            f"least T={t:g} at c={c:g} passes on the array but fails in eval_generic"
+        )
     subject = f"degree {shape.degree}, r1 {shape.r1}, log disc {shape.log_disc:g}"
     path = tuple(
         _PATH_FORMATS[h].format(ck, lo, t_cap, tk)
@@ -546,11 +503,6 @@ _EXACT_SCALES = np.array(sorted(
 _FIRST_T_BLOCK = (2, 16)
 _MAX_T_BLOCK = 256
 
-# grid points whose margin, summed in numpy, exceeds -_GRID_SLACK are
-# re-evaluated by eval_exact; the two sums of the same terms differ by
-# rounding only, some 1e-12 on terms of size up to 1e4
-_GRID_SLACK = 1e-9
-
 
 def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
     """Least integer norm bound the exact criterion certifies for this field.
@@ -560,9 +512,11 @@ def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
     the first passing (T, c) in that order is returned. The criterion is
     evaluated in blocks of consecutive T times all scales in one numpy
     broadcast: T in [2, 16) first, then each block twice as long as the
-    last, up to _MAX_T_BLOCK values of T. Grid points that pass, or nearly
-    pass, are confirmed in scan order by eval_exact, whose evaluation is
-    the one reported; where eval_exact does not pass, the scan goes on.
+    last, up to _MAX_T_BLOCK values of T. The first valid grid point with
+    margin > 0 is the answer; each grid margin is the float eval_exact gives
+    at that point (the premise in the module docstring). eval_exact's
+    evaluation there is the one reported; if it does not pass, the scalar
+    and the array disagree, and the solver raises ArithmeticInvariantError.
     """
     if t_ceiling is None:
         t_ceiling = 4.0 * field.log_abs_disc ** 2
@@ -576,12 +530,18 @@ def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
         lhs, terms = _exact_terms(field, T, _EXACT_SCALES)
         margin = _margin(lhs, terms)
         valid = _EXACT_SCALES < T
-        for i, j in zip(*np.nonzero(valid & (margin > -_GRID_SLACK))):
+        passed = valid & (margin > 0.0)
+        if passed.any():
+            # the first pass in scan order, T ascending, then c
+            i, j = divmod(int(passed.argmax()), _EXACT_SCALES.size)
             t, c = float(T[i, 0]), float(_EXACT_SCALES[j])
             ev = eval_exact(field, TestConfig(t, c))
-            if ev.passed:
-                path.append(f"T={t:g}: passes at c={c:.6f}")
-                return BoundReport("exact", subject, t, c, ev, tuple(path))
+            if not ev.passed:
+                raise ArithmeticInvariantError(
+                    f"T={t:g}, c={c:g} passes on the grid but fails in eval_exact"
+                )
+            path.append(f"T={t:g}: passes at c={c:.6f}")
+            return BoundReport("exact", subject, t, c, ev, tuple(path))
         path.append(f"T in [{lo}, {hi - 1}]: {int(valid.sum())} points, none pass")
         lo, hi = hi, hi + min(2 * (hi - lo), _MAX_T_BLOCK)
     raise NoBoundCertifiedError(f"no integer T <= {cap} certified by the exact test")

@@ -9,7 +9,8 @@ whose index status cannot be certified raises rather than guessing.
 A quadratic field reads everything from a discriminant: its signature
 from the sign of the polynomial's, and, once the field discriminant D is
 known, the splitting of every p from D alone (ramified iff p | D,
-otherwise split or inert by the Kronecker symbol (D|p)). A field of
+otherwise split or inert by Euler's criterion, D^((p-1)/2) = 1 (mod p),
+or at p = 2 by D = 1 (mod 8)). A field of
 higher degree takes its signature from a Sturm chain. It, and a quadratic
 field whose D is unknown, take the splitting from factoring the
 polynomial over GF(p): distinct-degree factoring where p does not divide
@@ -31,7 +32,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .arith import factorize, is_probable_prime, kronecker
+from .arith import factorize, is_fundamental_discriminant, is_probable_prime
 from .errors import (
     IrreducibilityError,
     SplittingUnavailableError,
@@ -235,6 +236,9 @@ class NumberField:
             raise ValueError("discriminant sign must be (-1)^r2")
         if disc % 4 not in (0, 1):
             raise ValueError("discriminant must be 0 or 1 mod 4")
+        if self.degree == 2 and not is_fundamental_discriminant(disc):
+            # the splitting is read from disc alone, as a field discriminant
+            raise ValueError(f"supplied discriminant {disc} is not fundamental")
 
     @property
     def field_disc(self) -> int:
@@ -348,10 +352,12 @@ class NumberField:
 
 
 def _quadratic_shape(D: int, p: int):
-    """Splitting type of p in the quadratic field of discriminant D from (D|p)."""
+    """Splitting type of p in the quadratic field of discriminant D: ramified
+    if p | D, else split exactly when D is a square mod 4p, which is Euler's
+    criterion for odd p and D = 1 (mod 8) for p = 2."""
     if D % p == 0:
         return [(2, 1)]
-    if kronecker(D, p) == 1:
+    if (D % 8 == 1) if p == 2 else pow(D, (p - 1) // 2, p) == 1:
         return [(1, 1), (1, 1)]
     return [(1, 2)]
 

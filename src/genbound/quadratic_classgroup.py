@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize, is_probable_prime
+from .arith import is_fundamental_discriminant, is_probable_prime
 from .errors import ArithmeticInvariantError
 from .rational_sieve import default_table
 
@@ -60,21 +60,6 @@ __all__ = [
 def form_disc(form) -> int:
     a, b, c = form
     return b * b - 4 * a * c
-
-
-def is_fundamental_discriminant(d: int) -> bool:
-    if d in (0, 1):
-        return False
-    if d % 4 == 1:
-        fac, cof = factorize(d)
-        return cof == 1 and all(e == 1 for e in fac.values())
-    if d % 4 == 0:
-        m = d // 4
-        if m % 4 not in (2, 3):
-            return False
-        fac, cof = factorize(m)
-        return cof == 1 and all(e == 1 for e in fac.values())
-    return False
 
 
 def enumerate_fundamental_discriminants(bound: int):

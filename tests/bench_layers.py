@@ -14,8 +14,8 @@ and 2048, for that field and for the cubic fixture x^3 - x - 1 of
 |disc| 23; one
 eval_exact and minimal_T_exact on that quadratic field, its indexes
 already built; one generic array evaluation over the 65 candidate scales,
-one round of the generic solver's search (the 15 points that cut each
-scale's bracket into 16 parts, decided by _generic_passes),
+one round of the generic solver's search (the margins at the 15 points
+that cut each scale's bracket into 16 parts, decided by margin > 0),
 minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
 and loglog_disc_threshold(2); class_group built afresh at d = -999 983, at
 d = -17 927 (h = 140, 2 and 3 split) and at d = 999 993 (h = 1, narrow
@@ -36,11 +36,9 @@ from genbound.criteria_engine import (  # noqa: E402
     FieldShape,
     TestConfig,
     _candidate_scales,
-    _generic_passes,
     _generic_terms,
     _margin,
     _scales,
-    _size_bound,
     eval_exact,
     eval_generic,
     loglog_disc_threshold,
@@ -98,10 +96,8 @@ def test_generic_search_round(benchmark):
     shape = FieldShape(6, 0, 1000.0)
     t_cap = 4.0 * shape.log_disc ** 2
     s = _scales(shape, np.array(_candidate_scales(6)), False)
-    at_floor, at_cap = _generic_terms(shape, s.floor, s, False), _generic_terms(shape, t_cap, s, False)
-    s = s._replace(size=_size_bound(at_floor, at_cap))
     points = np.linspace(s.floor, t_cap, _PARTS + 1)[1:-1]
-    passed = benchmark(_generic_passes, shape, points, s, False)
+    passed = benchmark(lambda: _margin(*_generic_terms(shape, points, s, False)) > 0.0)
     assert passed.shape == (_PARTS - 1, 65)
 
 

@@ -12,9 +12,10 @@ its discriminant b^2 - 4c, p does not divide the index, so the splitting
 of p follows the roots of f modulo p (Dedekind-Kummer): two roots split
 p, a double root ramifies it, none leaves it inert. The roots are counted
 by Euler's criterion on b^2 - 4c for odd p and by trying 0 and 1 for
-p = 2; the library reads the same splitting from a Kronecker symbol of
-the field discriminant instead. Every other prime, and every prime of a
-field of higher degree, takes its shape from NumberField.split_prime.
+p = 2; the library reads the same splitting from the field discriminant
+D instead, by Euler's criterion on D for odd p and D mod 8 for p = 2.
+Every other prime, and every prime of a field of higher degree, takes its
+shape from NumberField.split_prime.
 """
 
 from __future__ import annotations

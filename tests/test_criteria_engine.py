@@ -11,7 +11,9 @@ bracket the same crossing to a relative width of 1e-9, so they must pick
 the same c and T within 1e-9 relative, and the solver must report
 eval_generic's evaluation at its (T, c). Where the generic criterion,
 which bounds the field sums by majorants, passes, the exact one must pass
-at the same (T, c).
+at the same (T, c). A scalar evaluation and the array element at the
+same (T, c) must be the same float, so that margin > 0 decides each point
+alike in the solvers and in eval_exact and eval_generic.
 """
 
 import bisect
@@ -26,15 +28,17 @@ from genbound import criteria_engine
 from genbound.analytic_kernel import alpha, beta
 from genbound.criteria_engine import (
     _EXACT_SCALES,
+    _PARTS,
     FieldShape,
     TestConfig,
     TestEvaluation,
     _candidate_scales,
+    _exact_terms,
     _generic_floor,
     _generic_terms,
     _majorant_coefficients,
+    _margin,
     _scales,
-    _size_bound,
     coefficient_of_S,
     eval_degree_specialized,
     eval_exact,
@@ -44,7 +48,12 @@ from genbound.criteria_engine import (
     minimal_T_generic,
     specialized_constants,
 )
-from genbound.errors import NoBoundCertifiedError, PreconditionError, WindowTooWideError
+from genbound.errors import (
+    ArithmeticInvariantError,
+    NoBoundCertifiedError,
+    PreconditionError,
+    WindowTooWideError,
+)
 from genbound.number_field import NumberField, load_cubic_fixtures
 from genbound.quadratic_classgroup import enumerate_fundamental_discriminants
 from genbound.rational_sieve import NormIndex
@@ -337,23 +346,6 @@ def test_generic_scale_is_plain_float():
     assert type(report.T_bound) is float
 
 
-def test_generic_solver_confirms_near_zero_margins(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eval_generic(*args, **kwargs)
-
-    monkeypatch.setattr(criteria_engine, "eval_generic", counted)
-    shape = FieldShape(4, 2, 30.0)
-    report = minimal_T_generic(shape)
-    # some search points lie within 1e-14 of the terms' size of zero, so
-    # the numpy margin cannot decide them; the last call is the re-check
-    assert len(calls) >= 2
-    monkeypatch.undo()
-    assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
-
-
 def test_generic_solver_first_pass_on_non_monotone_flags(monkeypatch):
     # a step in alpha makes the margin pass on a band of y = cT 30 wide,
     # narrower than the spacing (3600 - 73.2)/16 of a first round's points,
@@ -389,16 +381,17 @@ def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
 
     rows = []
 
-    def passes(shape, T, *args, **kwargs):
-        rows.append(np.shape(T)[0] if np.ndim(T) == 2 else 1)
-        return generic_passes(shape, T, *args, **kwargs)
+    def terms(shape, T, s, *args, **kwargs):
+        if isinstance(s.c, np.ndarray):
+            rows.append(np.shape(T)[0] if np.ndim(T) == 2 else 1)
+        return generic_terms(shape, T, s, *args, **kwargs)
 
-    generic_passes = criteria_engine._generic_passes
+    generic_terms = criteria_engine._generic_terms
     monkeypatch.setattr(criteria_engine, "alpha", dropped)
-    monkeypatch.setattr(criteria_engine, "_generic_passes", passes)
+    monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
     report = minimal_T_generic(shape)
-    assert sum("bisection" in step for step in report.solver_path) == 1
-    assert f"c={c:.6f}: bisection" in "".join(report.solver_path)
+    assert sum("bracket search" in step for step in report.solver_path) == 1
+    assert f"c={c:.6f}: bracket search" in "".join(report.solver_path)
     # floor, cap, then one round of 15 points for the one bracketed scale:
     # a 16th of its bracket, 1e-8 relative wide, is narrow
     assert rows == [1, 1, 15]
@@ -406,16 +399,17 @@ def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
 
 
 def test_generic_solver_evaluations_per_solve(monkeypatch):
-    # floor and cap take one evaluation each, and the search 8 rounds: the
-    # bracket [floor, 4e6] narrows to 1e-9 of T near 3.9e6 in 16^8 parts
+    # floor and cap take one array evaluation each, and the search 8 rounds:
+    # the bracket [floor, 4e6] narrows to 1e-9 of T near 3.9e6 in 16^8 parts
     calls = []
 
-    def passes(*args, **kwargs):
-        calls.append(1)
-        return generic_passes(*args, **kwargs)
+    def terms(shape, T, s, *args, **kwargs):
+        if isinstance(s.c, np.ndarray):
+            calls.append(1)
+        return generic_terms(shape, T, s, *args, **kwargs)
 
-    generic_passes = criteria_engine._generic_passes
-    monkeypatch.setattr(criteria_engine, "_generic_passes", passes)
+    generic_terms = criteria_engine._generic_terms
+    monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
     shape = FieldShape(6, 0, 1000.0)
     report = minimal_T_generic(shape)
     assert len(calls) <= 10
@@ -471,32 +465,10 @@ def test_generic_terms_on_arrays_match_scalars():
         for i, j in ((0, 0), (3, 17), (6, cs.size - 1)):
             t, c = max(float(T[i, 0]), 1000.0), float(cs[j])
             ev = eval_generic(shape, TestConfig(t, c), floor_mode)
-            size = abs(ev.lhs) + sum(abs(v) for _, v in ev.rhs_terms)
-            assert abs(lhs[i, j] - ev.lhs) <= 1e-15 * size
+            assert lhs[i, j] == ev.lhs
             for (name, v), (want_name, want) in zip(terms, ev.rhs_terms):
                 assert name == want_name
-                assert abs(np.broadcast_to(v, lhs.shape)[i, j] - want) <= 1e-14 * size
-
-
-@pytest.mark.parametrize("degree", range(2, 13))
-def test_generic_size_bound_dominates(degree):
-    # the solver's size bound, read from the floor and the cap, against
-    # |lhs| + sum |term| on a dense grid of [floor, cap] for every scale
-    u = np.concatenate([np.linspace(0.0, 1.0, 1001), np.geomspace(1e-9, 1e-3, 200)])[:, None]
-    for n, r1 in signatures([degree]):
-        for x in (30.0, 900.0, 2.0e5):
-            shape = FieldShape(n, r1, x)
-            t_cap = 4.0 * x * x
-            for floor_mode in (False, True):
-                s = _scales(shape, np.array(_candidate_scales(n)), floor_mode)
-                s = s.take(s.floor <= t_cap)
-                at_floor = _generic_terms(shape, s.floor, s, floor_mode)
-                at_cap = _generic_terms(shape, t_cap, s, floor_mode)
-                bound = _size_bound(at_floor, at_cap)
-                T = np.minimum(s.floor + u * (t_cap - s.floor), t_cap)
-                lhs, terms = _generic_terms(shape, T, s, floor_mode)
-                size = np.abs(lhs) + sum(np.abs(v) for _, v in terms)
-                assert (size <= bound).all(), (shape, floor_mode)
+                assert np.broadcast_to(v, lhs.shape)[i, j] == want
 
 
 def test_generic_majorant_terms_come_from_the_coefficients():
@@ -538,6 +510,80 @@ def test_generic_pass_implies_exact_pass():
                 generic_passes += 1
                 assert eval_exact(K, cfg).passed, (K, cfg)
     assert generic_passes > 250
+
+
+# ----------------------------------------------------------------------
+# one float evaluation: scalar against array
+# ----------------------------------------------------------------------
+IDENTITY_LOG_DISCS = (5.0, 30.0, 900.0, 2.0e5)
+# points of the exact grid checked per field, besides its first pass
+IDENTITY_EXACT_SAMPLE = 256
+
+
+def assert_generic_margins_identical():
+    # every signature of degree 2..12, both floor modes, and the 17 points
+    # that cut [floor, cap] into 16 parts at every valid scale
+    for n, r1 in signatures(range(2, 13)):
+        for x in IDENTITY_LOG_DISCS:
+            shape, t_cap = FieldShape(n, r1, x), 4.0 * x * x
+            for floor_mode in (False, True):
+                s = _scales(shape, np.array(_candidate_scales(n)), floor_mode)
+                s = s.take(s.floor <= t_cap)
+                T = np.linspace(s.floor, t_cap, _PARTS + 1)
+                margin = _margin(*_generic_terms(shape, T, s, floor_mode))
+                for (i, j), m in np.ndenumerate(margin):
+                    cfg = TestConfig(float(T[i, j]), float(s.c[j]))
+                    assert eval_generic(shape, cfg, floor_mode).margin == m, (shape, floor_mode, cfg)
+
+
+def assert_exact_margins_identical():
+    # T in [2, 300) against every scale: every valid point for the field of
+    # -9 999 991, and for each other field its first pass, the point
+    # minimal_T_exact returns, and a seeded sample of the others
+    fields = [quadratic_field(d) for d in IMPLIED_DISCS + SMALL_DISCS]
+    fields += [NumberField(fx.coeffs) for fx in load_cubic_fixtures()]
+    T = np.arange(2.0, 300.0)[:, None]
+    valid = _EXACT_SCALES < T
+    points = np.argwhere(valid).tolist()
+    rng = random.Random(19)
+    for K in fields:
+        margin = _margin(*_exact_terms(K, T, _EXACT_SCALES))
+        if K.field_disc == -9_999_991:
+            checked = points
+        else:
+            checked = rng.sample(points, IDENTITY_EXACT_SAMPLE)
+            passed = margin[valid] > 0.0
+            if passed.any():
+                checked.append(points[int(passed.argmax())])
+        for i, j in checked:
+            cfg = TestConfig(float(T[i, 0]), float(_EXACT_SCALES[j]))
+            assert eval_exact(K, cfg).margin == margin[i, j], (K, cfg)
+
+
+@pytest.mark.parametrize("criterion", ["generic", "exact"])
+def test_scalar_and_array_margins_are_identical(criterion):
+    # margin > 0 decides every point of both solvers, as a scalar
+    # evaluation and the array element at the same (T, c) are one float:
+    # numpy computes each element of a ufunc alike whatever the array's
+    # shape, and np.float64 arithmetic is the array loops' IEEE operation
+    if criterion == "generic":
+        assert_generic_margins_identical()
+    else:
+        assert_exact_margins_identical()
+
+
+def test_solvers_raise_when_the_scalar_recheck_fails(monkeypatch):
+    # each solver re-checks its answer with the scalar evaluation; a
+    # failure there means scalar and array disagree, an arithmetic fault
+    def failing(*args, **kwargs):
+        return TestEvaluation("failing", -1.0, ())
+
+    monkeypatch.setattr(criteria_engine, "eval_generic", failing)
+    with pytest.raises(ArithmeticInvariantError, match="fails in eval_generic"):
+        minimal_T_generic(FieldShape(2, 0, 30.0))
+    monkeypatch.setattr(criteria_engine, "eval_exact", failing)
+    with pytest.raises(ArithmeticInvariantError, match="fails in eval_exact"):
+        minimal_T_exact(quadratic_field(-9999991))
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,21 @@ def test_supplied_discriminant():
         NumberField([5, 0, 1], disc=-5)  # contradicts the certified -20
 
 
+@pytest.mark.parametrize("coeffs, disc", [
+    ([-5, 0, 1], 20),    # x^2 - 5: 2 would read as ramified, but is inert in Q(sqrt 5)
+    ([-45, 0, 1], 45),   # x^2 - 45: 3 would read as ramified in Q(sqrt 5)
+    ([-45, 0, 1], 180),
+    ([45, 0, 1], -180),  # x^2 + 45: the field discriminant of Q(sqrt -5) is -20
+])
+def test_supplied_quadratic_discriminant_must_be_fundamental(coeffs, disc):
+    # each passes the divisibility, square-quotient, sign and mod-4 checks;
+    # a quadratic field reads its splitting from the supplied disc alone
+    with pytest.raises(ValueError, match="not fundamental"):
+        NumberField(coeffs, disc=disc)
+    fundamental = {20: 5, 45: 5, 180: 5, -180: -20}[disc]
+    assert NumberField(coeffs, disc=fundamental).field_disc == fundamental
+
+
 def test_dedekind_holds_where_p_squared_misses_the_discriminant():
     # NumberField._dedekind certifies p at once when p^2 does not divide
     # disc_defining = index^2 * field disc; the full criterion must agree
@@ -184,7 +199,7 @@ def test_split_quadratic_shapes():
 ])
 def test_quadratic_split_matches_gf_factoring(coeffs):
     # a quadratic field with a known discriminant reads the splitting from
-    # a Kronecker symbol; factoring the polynomial over GF(p) must give the
+    # Euler's criterion on it; factoring the polynomial over GF(p) must give the
     # same shape at every p that cannot divide the index, ramified ones
     # included
     K = NumberField(coeffs)
