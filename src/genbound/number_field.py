@@ -10,12 +10,13 @@ A quadratic field reads everything from a discriminant: its signature
 from the sign of the polynomial's, and, once the field discriminant D is
 known, the splitting of every p from D alone (ramified iff p | D,
 otherwise split or inert by Euler's criterion, D^((p-1)/2) = 1 (mod p),
-or at p = 2 by D = 1 (mod 8)). A field of
-higher degree takes its signature from a Sturm chain. It, and a quadratic
-field whose D is unknown, take the splitting from factoring the
-polynomial over GF(p): distinct-degree factoring where p does not divide
-the polynomial discriminant, the full factorization shape where
-Dedekind's criterion certifies that p does not divide the index.
+or at p = 2 by D = 1 (mod 8)). A supplied D of a quadratic field must be
+fundamental. A field of higher degree takes its signature from a Sturm
+chain. It, and a quadratic field whose D is unknown, take the splitting
+from factoring the polynomial over GF(p): distinct-degree factoring where
+p does not divide the polynomial discriminant, the full factorization
+shape where Dedekind's criterion certifies that p does not divide the
+index.
 
 The prime-ideal powers are built from these splitting types and kept
 only as two prefix-sum indexes (rational_sieve.NormIndex): one over the
