@@ -13,14 +13,13 @@ T >= SCHOENFELD_FLOOR; its c-only factors (_majorant_coefficients) and its
 floor max(73.2, 81 delta2/c) (_generic_floor) serve the specialized test too.
 
 The exact and generic criteria are each written once, in numpy, as a
-function of floats or of numpy arrays (_exact_terms, _generic_terms), and
-their solvers evaluate many (T, c) in one numpy broadcast: minimal_T_exact
-a block of the (T, c) grid, minimal_T_generic the 15 points that cut the
-bracket of every candidate scale c into 16 equal parts. A margin is the
-lhs less each term in order (_margin), for one point (TestEvaluation.margin)
-as for an array, and margin > 0 decides every point. One bracket per scale
-finds the generic least T, as the margin increases in T when alpha and beta
-are nondecreasing (the lemma in minimal_T_generic).
+function of floats or of numpy arrays (_exact_terms, _generic_terms).
+minimal_T_exact evaluates a block of the (T, c) grid in one numpy
+broadcast; both crossings of the generic criterion, minimal_T_generic's
+least T at each scale and loglog_disc_threshold's least log log disc, are
+found by one bracket round (_bracket_round) that decides 17 points in one
+call. A margin is the lhs less each term in order (_margin), at one point
+(TestEvaluation.margin) as on an array; margin > 0 decides every point.
 
 The premise that makes a scalar evaluation and the array element at the
 same (T, c) one float: numpy computes each element of a ufunc the same way
@@ -33,11 +32,11 @@ evaluation it reports; a breach of the premise there raises
 ArithmeticInvariantError, so every reported bound passes its scalar
 evaluation.
 
-What the generic criterion needs of c alone (sqrt(c), the discriminant
-and kernel-slack terms, the majorant coefficients and the validity floor)
-is taken once per scale, in _Scales: one row of floats for eval_generic,
-and for each minimal_T_generic solve one scale table of arrays over the
-candidate scales.
+What the generic criterion needs of c alone (sqrt(c), the kernel-slack
+term, the majorant coefficients and the validity floor) is taken once per
+scale, in _Scales: one row of floats for eval_generic and
+loglog_disc_threshold, and for each minimal_T_generic solve one scale
+table of arrays over the candidate scales.
 """
 
 import math
@@ -78,7 +77,7 @@ SHORT_POWER_MIN_CT = 81.0
 # every lo + hi the solvers form, so it must be a finite float
 _MAX_LOG_DISC = math.sqrt(sys.float_info.max / 8.0)
 
-# width in log log disc to which loglog_disc_threshold bisects its crossing
+# width in log log disc to which loglog_disc_threshold narrows its crossing
 _THRESHOLD_TOL = 1e-5
 
 _TWO_PI = 2.0 * math.pi
@@ -220,13 +219,12 @@ def _majorant_coefficients(c, n: int):
 class _Scales(NamedTuple):
     """The parts of the generic criterion that depend on the scale c alone.
 
-    Floats for one scale (eval_generic), or numpy arrays with one entry per
-    scale: the scale table of a minimal_T_generic solve.
+    Floats for one scale (eval_generic, loglog_disc_threshold), or numpy
+    arrays with one entry per scale: a minimal_T_generic scale table.
     """
 
     c: object
     sqrt_c: object
-    discriminant: object  # 2 sqrt(c) log disc
     kernel_slack: object  # 2 sqrt(c) - 1
     majorant_linear: object  # _majorant_coefficients
     majorant_log_sq: object
@@ -237,35 +235,33 @@ class _Scales(NamedTuple):
         return _Scales(*(v[i] for v in self))
 
 
-def _scales(shape: FieldShape, c, floor_mode: bool) -> _Scales:
+def _scales(degree: int, c, floor_mode: bool) -> _Scales:
     """The c-only parts of the generic criterion at a float c or an array of scales."""
     sc = np.sqrt(c)
-    linear, log_sq = _majorant_coefficients(c, shape.degree)
-    return _Scales(c, sc, 2.0 * sc * shape.log_disc, 2.0 * sc - 1.0, linear, log_sq,
-                   _generic_floor(shape.degree, c, floor_mode))
+    linear, log_sq = _majorant_coefficients(c, degree)
+    return _Scales(c, sc, 2.0 * sc - 1.0, linear, log_sq, _generic_floor(degree, c, floor_mode))
 
 
-def _generic_terms(shape: FieldShape, T, s: _Scales, floor_mode: bool):
+def _generic_terms(degree: int, r1: int, log_disc, T, s: _Scales, floor_mode: bool):
     """LHS and named RHS terms of the generic criterion at (T, s.c).
 
-    T and the fields of s are floats or numpy arrays that broadcast
-    together. sqrt(T) and log(cT) are taken once, and alpha and beta are
-    each called once; they are looked up in this module's namespace, so
-    wrappers placed there see array calls too.
+    log_disc, T and the fields of s are floats or numpy arrays that
+    broadcast together. sqrt(T) and log(cT) are taken once, and alpha and
+    beta are each called once; they are looked up in this module's
+    namespace, so wrappers placed there see array calls too.
     """
     ct = s.c * T
     sc = s.sqrt_c
     st = np.sqrt(T)
     L = np.log(ct)
-    n, d2 = shape.degree, shape.delta2
     a_val = ALPHA_FLOOR if floor_mode else alpha(ct)
     b_val = BETA_FLOOR if floor_mode else beta(ct)
     terms = (
-        ("discriminant", s.discriminant),
+        ("discriminant", 2.0 * sc * log_disc),
         ("kernel_slack", s.kernel_slack),
-        ("short_prime_powers", d2 * (SHORT_POWER_CONST / st - SHORT_POWER_SLOPE * sc)),
-        ("arch_real", -sc * a_val * shape.r1),
-        ("arch_total", -sc * b_val * n),
+        ("short_prime_powers", _delta2(degree) * (SHORT_POWER_CONST / st - SHORT_POWER_SLOPE * sc)),
+        ("arch_real", -sc * a_val * r1),
+        ("arch_total", -sc * b_val * degree),
         ("window_log", sc * L),
         ("majorant_linear", s.majorant_linear * st),
         ("majorant_log_sq", s.majorant_log_sq * L * L / _TWO_PI),
@@ -281,21 +277,23 @@ def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -
     T >= 1000.
     """
     T, c = cfg.T, cfg.c
-    s = _scales(shape, c, floor_mode)
+    s = _scales(shape.degree, c, floor_mode)
     if T < s.floor - 1e-12:
         raise PreconditionError(f"T={T:g} below the validity floor for c={c:g}")
     if T > 4.0 * shape.log_disc ** 2 * (1 + 1e-15):
         raise PreconditionError("need T <= 4 log^2 disc to absorb the residual disc term")
-    lhs, terms = _generic_terms(shape, T, s, floor_mode)
+    lhs, terms = _generic_terms(shape.degree, shape.r1, shape.log_disc, T, s, floor_mode)
     return _evaluation("generic-floor" if floor_mode else "generic", lhs, terms)
 
 
 def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
     """Net slope of S = sqrt(cT) after moving the discriminant term across,
     assuming T = alpha_target log^2 disc: [den(c)/sqrt(c) - 2/sqrt(alpha_target)]/sqrt(c)."""
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
     if not alpha_target > 0:
         raise ValueError("alpha_target must be positive")
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("need c >= 1")
     den = c - float(_majorant_coefficients(c, degree)[0])
     if den <= 0.0:
@@ -344,8 +342,8 @@ def eval_degree_specialized(degree: int, s: float) -> TestEvaluation:
     """One-variable criterion in S = sqrt(cT) at the canonical c = 1+1/(4 degree)."""
     k = specialized_constants(degree)
     s_floor = math.sqrt(k.c * _generic_floor(degree, k.c, False))
-    if s < s_floor - 1e-12:
-        raise PreconditionError(f"S={s:g} below the validity floor {s_floor:.3f}")
+    if not s_floor - 1e-12 <= s < math.inf:
+        raise PreconditionError(f"S={s:g} not finite or below the validity floor {s_floor:.3f}")
     d2 = _delta2(degree)
     dodd = degree % 2
     y = s * s
@@ -387,6 +385,21 @@ _PARTS = 16
 _MAX_ROUNDS = 20
 
 
+def _bracket_round(lo, hi, passes):
+    """One round of the bracket search on every column of the arrays lo, hi.
+
+    passes decides the 17 points np.linspace(lo, hi, _PARTS + 1), ends
+    included, in one call. Returns the part of each column that ends at its
+    first passing point ([lo, lo] if lo passes or none does) and whether lo
+    and hi pass; where lo fails and hi passes, so do the new ends.
+    """
+    points = np.linspace(lo, hi, _PARTS + 1)
+    passed = passes(points)
+    first = passed.argmax(axis=0)
+    cols = np.arange(points.shape[1])
+    return points[np.maximum(first - 1, 0), cols], points[first, cols], passed[0], passed[-1]
+
+
 # the solver's path line of a scale, by how its search ended; each is
 # formatted with (c, floor, cap, least T)
 _FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BRACKET = range(4)
@@ -421,69 +434,52 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     least 1.73 for every degree 2..199, candidate scale and floor mode (the
     least at n = 4, c = 1.25; test_generic_margin_increases_from_the_floor).
 
-    A solve builds its scale table (_Scales), tests every valid scale at
-    its floor and the scales that fail there at the cap, each test one numpy
-    evaluation. All open scales then search in lockstep: each round cuts
-    every bracket into _PARTS = 16 equal parts, evaluates the 15 interior
-    points in one numpy call, and keeps the part that ends at the first
-    passing point, or at hi if none passes; a scale leaves once its bracket
-    is narrow, and after _MAX_ROUNDS = 20 rounds the others report their
-    passing hi. margin > 0 decides every point, and each margin is the float
-    eval_generic gives at that point (the premise in the module docstring).
-    The winner is re-checked by eval_generic, whose evaluation is reported.
+    A solve opens every scale of its table (_Scales) valid below the cap on
+    [floor, cap] and searches them in lockstep, one _bracket_round a round.
+    The first round's ends are the floor and cap tests: a scale passing at
+    its floor reports the floor, one failing at its cap has no pass; later
+    rounds re-decide their known ends. A scale leaves once its bracket is
+    narrow; after _MAX_ROUNDS = 20 rounds the others report their passing
+    hi. Each margin is eval_generic's float there (the module docstring's
+    premise); eval_generic re-checks the winner, whose evaluation is reported.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes, and ArithmeticInvariantError when eval_generic
     fails at the winner, as the scalar and the array then disagree.
     """
-    t_cap = 4.0 * shape.log_disc ** 2
-    table = _scales(shape, np.array(_candidate_scales(shape.degree)), floor_mode)
+    n, r1, x = shape.degree, shape.r1, shape.log_disc
+    t_cap = 4.0 * x ** 2
+    table = _scales(n, np.array(_candidate_scales(n)), floor_mode)
     best = np.full(table.c.size, np.inf)
     how = np.full(table.c.size, _FLOOR_ABOVE_CAP)
 
-    idx = np.flatnonzero(table.floor <= t_cap)
-    s = table.take(idx)
-    ok = _margin(*_generic_terms(shape, s.floor, s, floor_mode)) > 0.0
-    best[idx[ok]] = s.floor[ok]
-    how[idx[ok]] = _AT_FLOOR
-    idx, s = idx[~ok], s.take(~ok)
-    ok = _margin(*_generic_terms(shape, t_cap, s, floor_mode)) > 0.0
-    how[idx[~ok]] = _NO_PASS
-    idx, s = idx[ok], s.take(ok)
-
-    if idx.size:
-        # at every open scale lo fails and hi passes
-        rows, lo, hi = idx, s.floor, np.full(idx.size, t_cap)
-        for _ in range(_MAX_ROUNDS):
-            points = np.linspace(lo, hi, _PARTS + 1)
-            passed = _margin(*_generic_terms(shape, points[1:-1], s, floor_mode)) > 0.0
-            # the index in points of the first passing interior point, or of hi
-            first = np.where(passed.any(axis=0), passed.argmax(axis=0) + 1, _PARTS)
-            cols = np.arange(rows.size)
-            lo, hi = points[first - 1, cols], points[first, cols]
-            narrow = hi - lo <= _WIDTH * np.maximum(1.0, hi)
-            if np.count_nonzero(narrow):
-                best[rows[narrow]] = hi[narrow]
-                wide = ~narrow
-                rows, s, lo, hi = rows[wide], s.take(wide), lo[wide], hi[wide]
-            if not rows.size:
-                break
-        best[rows] = hi
-        how[idx] = _BRACKET
+    rows = np.flatnonzero(table.floor <= t_cap)
+    how[rows] = _BRACKET
+    s = table.take(rows)
+    lo, hi = s.floor, np.full(rows.size, t_cap)
+    for _ in range(_MAX_ROUNDS):
+        if not rows.size:
+            break
+        lo, hi, at_lo, at_hi = _bracket_round(
+            lo, hi, lambda T: _margin(*_generic_terms(n, r1, x, T, s, floor_mode)) > 0.0)
+        wide = ~at_lo & at_hi & (hi - lo > _WIDTH * np.maximum(1.0, hi))
+        if not wide.all():
+            how[rows] = np.where(at_lo, _AT_FLOOR, np.where(at_hi, _BRACKET, _NO_PASS))
+            best[rows] = np.where(at_lo | at_hi, hi, np.inf)
+            rows, s, lo, hi = rows[wide], s.take(wide), lo[wide], hi[wide]
+    best[rows] = hi
 
     k = int(np.argmin(best))
     if best[k] == np.inf:
-        raise NoBoundCertifiedError(
-            f"no bound below 4 log^2 disc certified for degree {shape.degree}, "
-            f"log disc {shape.log_disc:g}"
-        )
+        raise NoBoundCertifiedError(f"no bound below 4 log^2 disc certified for degree {n}, "
+                                    f"log disc {x:g}")
     t, c = float(best[k]), float(table.c[k])
     ev = eval_generic(shape, TestConfig(t, c), floor_mode)
     if not ev.passed:
         raise ArithmeticInvariantError(
             f"least T={t:g} at c={c:g} passes on the array but fails in eval_generic"
         )
-    subject = f"degree {shape.degree}, r1 {shape.r1}, log disc {shape.log_disc:g}"
+    subject = f"degree {n}, r1 {r1}, log disc {x:g}"
     path = tuple(
         _PATH_FORMATS[h].format(ck, lo, t_cap, tk)
         for h, ck, lo, tk in zip(how.tolist(), table.c.tolist(), table.floor.tolist(), best.tolist())
@@ -552,46 +548,49 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float
 
     Floor mode, c = 1 + 1/(4 degree), worst-case r1 = degree mod 2. The
     pass region need not be one-sided: large degrees also pass in a band
-    of small discriminants before failing again, so the solver walks down
-    from far above to bracket the LAST crossing, bisects it to within
-    _THRESHOLD_TOL, and certifies the for-all-larger reading with a
-    ten-point scan beyond the root.
+    of small discriminants before failing again, so the solver brackets the
+    LAST crossing from far above. One array call each decides the probes
+    13, 15, ..., 39 and the walk down in steps of 0.05 from the first
+    passing probe, itself its first point, to the first failure; rounds of
+    _bracket_round narrow that step to _THRESHOLD_TOL, and a ten-point scan
+    beyond the root certifies the for-all-larger reading. A point passes
+    where T is valid and margin > 0; eval_generic re-checks the answer.
     """
-    n = degree
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
     if target_gap is None:
-        target_gap = 1.0 / (2.0 * n)
-    if not 0.0 < target_gap <= 1.0 / (2.0 * n):
+        target_gap = 1.0 / (2.0 * degree)
+    if not 0.0 < target_gap <= 1.0 / (2.0 * degree):
         raise PreconditionError("target_gap must lie in (0, 1/(2 degree)]")
-    c = 1.0 + 1.0 / (4.0 * n)
+    c = 1.0 + 1.0 / (4.0 * degree)
     coeff = 4.0 - target_gap
-    shape_r1 = n % 2
+    r1 = degree % 2
+    s = _scales(degree, c, True)
 
-    def passes(x: float) -> bool:
-        shape = FieldShape(n, shape_r1, x)
-        try:
-            return eval_generic(shape, TestConfig(coeff * x * x, c), floor_mode=True).passed
-        except PreconditionError:
-            return False
+    def passes(x):
+        """Whether T = coeff x^2 is valid and passes, at an array of log disc x."""
+        T = coeff * x * x
+        return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(degree, r1, x, T, s, True)) > 0.0)
 
-    hi = 13.0
-    while not passes(math.exp(hi)):
-        hi += 2.0
-        if hi > 40.0:
-            raise NoBoundCertifiedError("threshold search did not bracket a root")
-    lo = hi - 0.05
-    while passes(math.exp(lo)):
-        hi = lo
-        lo -= 0.05
-        if lo < 1.0:
-            raise NoBoundCertifiedError("criterion passes at every probed size; no threshold")
-    while hi - lo > _THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if passes(math.exp(mid)):
-            hi = mid
-        else:
-            lo = mid
-    x_star = math.exp(hi)
-    for mult in (1.01, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.85, 2.0):
-        if not passes(x_star * mult):
-            raise NoBoundCertifiedError("criterion not monotone beyond the threshold")
-    return hi
+    probes = np.arange(13.0, 40.0, 2.0)
+    up = passes(np.exp(probes))
+    if not up.any():
+        raise NoBoundCertifiedError("threshold search did not bracket a root")
+    top = probes[up.argmax()]
+    walk = top - 0.05 * np.arange(20.0 * (top - 1.0) + 1.0)
+    down = ~passes(np.exp(walk))
+    if not down.any():
+        raise NoBoundCertifiedError("criterion passes at every probed size; no threshold")
+    j = int(down.argmax())
+    lo, hi = walk[j:j + 1], walk[j - 1:j]
+    while hi[0] - lo[0] > _THRESHOLD_TOL:
+        lo, hi, _, _ = _bracket_round(lo, hi, lambda loglog: passes(np.exp(loglog)))
+    x_star = np.exp(hi)
+    if not passes(x_star * np.array([1.01, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.85, 2.0])).all():
+        raise NoBoundCertifiedError("criterion not monotone beyond the threshold")
+    x_star = float(x_star[0])
+    shape = FieldShape(degree, r1, x_star)
+    if not eval_generic(shape, TestConfig(coeff * x_star * x_star, c), floor_mode=True).passed:
+        raise ArithmeticInvariantError(f"threshold log log disc {hi[0]:g} passes on the array "
+                                       "but fails in eval_generic")
+    return float(hi[0])

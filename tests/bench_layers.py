@@ -14,10 +14,11 @@ and 2048, for that field and for the cubic fixture x^3 - x - 1 of
 |disc| 23; one
 eval_exact and minimal_T_exact on that quadratic field, its indexes
 already built; one generic array evaluation over the 65 candidate scales,
-one round of the generic solver's search (the margins at the 15 points
-that cut each scale's bracket into 16 parts, decided by margin > 0),
-minimal_T_generic for one shape per degree 2..10, one scalar eval_generic
-and loglog_disc_threshold(2); class_group built afresh at d = -999 983, at
+one round of the generic solver's search (the margins at the 17 points
+that cut each scale's bracket into 16 parts, ends included, decided by
+margin > 0), minimal_T_generic for one shape per degree 2..10, one scalar
+eval_generic, and loglog_disc_threshold(2) and (9), the second with the
+longest walk down; class_group built afresh at d = -999 983, at
 d = -17 927 (h = 140, 2 and 3 split) and at d = 999 993 (h = 1, narrow
 class number 2, so each cycle is joined with its negated partner), one
 composition of two representatives of d = -17 927, and
@@ -86,19 +87,19 @@ def test_minimal_T_exact(benchmark):
 
 def test_generic_array_evaluation(benchmark):
     shape = FieldShape(6, 0, 1000.0)
-    s = _scales(shape, np.array(_candidate_scales(6)), False)
+    s = _scales(6, np.array(_candidate_scales(6)), False)
     T = np.full(s.c.size, 2000.0)
-    margin = benchmark(lambda: _margin(*_generic_terms(shape, T, s, False)))
+    margin = benchmark(lambda: _margin(*_generic_terms(6, 0, shape.log_disc, T, s, False)))
     assert margin.shape == (65,)
 
 
 def test_generic_search_round(benchmark):
     shape = FieldShape(6, 0, 1000.0)
     t_cap = 4.0 * shape.log_disc ** 2
-    s = _scales(shape, np.array(_candidate_scales(6)), False)
-    points = np.linspace(s.floor, t_cap, _PARTS + 1)[1:-1]
-    passed = benchmark(lambda: _margin(*_generic_terms(shape, points, s, False)) > 0.0)
-    assert passed.shape == (_PARTS - 1, 65)
+    s = _scales(6, np.array(_candidate_scales(6)), False)
+    points = np.linspace(s.floor, t_cap, _PARTS + 1)
+    passed = benchmark(lambda: _margin(*_generic_terms(6, 0, shape.log_disc, points, s, False)) > 0.0)
+    assert passed.shape == (_PARTS + 1, 65)
 
 
 @pytest.mark.parametrize("degree", range(2, 11))
@@ -113,8 +114,11 @@ def test_eval_generic(benchmark):
     assert benchmark(eval_generic, shape, cfg).criterion_id == "generic"
 
 
-def test_loglog_disc_threshold(benchmark):
-    assert benchmark(loglog_disc_threshold, 2) == pytest.approx(9.93559, abs=1e-5)
+# degree 9 returns the log log of the floor-mode guard T >= 1000, which the
+# walk down from e^13 reaches only after some 200 steps of 0.05
+@pytest.mark.parametrize("degree, want", [(2, 9.93559), (9, 2.76772)])
+def test_loglog_disc_threshold(benchmark, degree, want):
+    assert benchmark(loglog_disc_threshold, degree) == pytest.approx(want, abs=1e-5)
 
 
 @pytest.mark.parametrize("disc", [-999_983, -17_927, 999_993])

@@ -381,10 +381,10 @@ def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
 
     rows = []
 
-    def terms(shape, T, s, *args, **kwargs):
+    def terms(degree, r1, log_disc, T, s, floor_mode):
         if isinstance(s.c, np.ndarray):
-            rows.append(np.shape(T)[0] if np.ndim(T) == 2 else 1)
-        return generic_terms(shape, T, s, *args, **kwargs)
+            rows.append(np.shape(T)[0])
+        return generic_terms(degree, r1, log_disc, T, s, floor_mode)
 
     generic_terms = criteria_engine._generic_terms
     monkeypatch.setattr(criteria_engine, "alpha", dropped)
@@ -392,27 +392,29 @@ def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
     report = minimal_T_generic(shape)
     assert sum("bracket search" in step for step in report.solver_path) == 1
     assert f"c={c:.6f}: bracket search" in "".join(report.solver_path)
-    # floor, cap, then one round of 15 points for the one bracketed scale:
-    # a 16th of its bracket, 1e-8 relative wide, is narrow
-    assert rows == [1, 1, 15]
+    # one round of 17 points decides every scale: its ends are the floor
+    # and cap tests, and a 16th of the one bracket, 1e-8 relative wide, is
+    # narrow
+    assert rows == [17]
     assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
 
 
 def test_generic_solver_evaluations_per_solve(monkeypatch):
-    # floor and cap take one array evaluation each, and the search 8 rounds:
-    # the bracket [floor, 4e6] narrows to 1e-9 of T near 3.9e6 in 16^8 parts
+    # the search takes 8 rounds, the first of them deciding the floor and
+    # cap tests too: the bracket [floor, 4e6] narrows to 1e-9 of T near
+    # 3.9e6 in 16^8 parts
     calls = []
 
-    def terms(shape, T, s, *args, **kwargs):
+    def terms(degree, r1, log_disc, T, s, floor_mode):
         if isinstance(s.c, np.ndarray):
             calls.append(1)
-        return generic_terms(shape, T, s, *args, **kwargs)
+        return generic_terms(degree, r1, log_disc, T, s, floor_mode)
 
     generic_terms = criteria_engine._generic_terms
     monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
     shape = FieldShape(6, 0, 1000.0)
     report = minimal_T_generic(shape)
-    assert len(calls) <= 10
+    assert len(calls) <= 8
     assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
 
 
@@ -461,7 +463,8 @@ def test_generic_terms_on_arrays_match_scalars():
     cs = np.array(_candidate_scales(5))
     T = np.geomspace(100.0, 4.0 * 400.0 ** 2, 7)[:, None]
     for floor_mode in (False, True):
-        lhs, terms = _generic_terms(shape, np.maximum(T, 1000.0), _scales(shape, cs, floor_mode), floor_mode)
+        s = _scales(5, cs, floor_mode)
+        lhs, terms = _generic_terms(5, 1, 400.0, np.maximum(T, 1000.0), s, floor_mode)
         for i, j in ((0, 0), (3, 17), (6, cs.size - 1)):
             t, c = max(float(T[i, 0]), 1000.0), float(cs[j])
             ev = eval_generic(shape, TestConfig(t, c), floor_mode)
@@ -527,10 +530,10 @@ def assert_generic_margins_identical():
         for x in IDENTITY_LOG_DISCS:
             shape, t_cap = FieldShape(n, r1, x), 4.0 * x * x
             for floor_mode in (False, True):
-                s = _scales(shape, np.array(_candidate_scales(n)), floor_mode)
+                s = _scales(n, np.array(_candidate_scales(n)), floor_mode)
                 s = s.take(s.floor <= t_cap)
                 T = np.linspace(s.floor, t_cap, _PARTS + 1)
-                margin = _margin(*_generic_terms(shape, T, s, floor_mode))
+                margin = _margin(*_generic_terms(n, r1, x, T, s, floor_mode))
                 for (i, j), m in np.ndenumerate(margin):
                     cfg = TestConfig(float(T[i, j]), float(s.c[j]))
                     assert eval_generic(shape, cfg, floor_mode).margin == m, (shape, floor_mode, cfg)
@@ -581,6 +584,8 @@ def test_solvers_raise_when_the_scalar_recheck_fails(monkeypatch):
     monkeypatch.setattr(criteria_engine, "eval_generic", failing)
     with pytest.raises(ArithmeticInvariantError, match="fails in eval_generic"):
         minimal_T_generic(FieldShape(2, 0, 30.0))
+    with pytest.raises(ArithmeticInvariantError, match="fails in eval_generic"):
+        loglog_disc_threshold(2)
     monkeypatch.setattr(criteria_engine, "eval_exact", failing)
     with pytest.raises(ArithmeticInvariantError, match="fails in eval_exact"):
         minimal_T_exact(quadratic_field(-9999991))
@@ -623,6 +628,9 @@ def test_specialized_below_floor(degree):
     assert eval_degree_specialized(degree, s_floor).criterion_id == f"degree-{degree}"
     with pytest.raises(PreconditionError):
         eval_degree_specialized(degree, s_floor - 1e-6)
+    for s in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            eval_degree_specialized(degree, s)
 
 
 # T = (4 - 1/(2n)) log^2 disc from these log log disc on, frozen within the
@@ -632,9 +640,47 @@ THRESHOLDS = {2: 9.93559, 3: 10.64690, 4: 11.09625, 5: 11.33780, 6: 11.58577,
               7: 11.60915, 8: 11.67106}
 
 
+# and T = (4 - 1/(3n)) log^2 disc, the target of the specialized test: true
+# crossings, rounded to within 5e-6
+THIRD_GAP_THRESHOLDS = {2: 5.58552, 3: 6.34546}
+
+
 @pytest.mark.parametrize("degree", sorted(THRESHOLDS))
 def test_threshold_anchors(degree):
     assert abs(loglog_disc_threshold(degree) - THRESHOLDS[degree]) <= 1e-5
+
+
+@pytest.mark.parametrize("degree", sorted(THIRD_GAP_THRESHOLDS))
+def test_threshold_anchors_third_gap(degree):
+    got = loglog_disc_threshold(degree, target_gap=1.0 / (3.0 * degree))
+    assert abs(got - THIRD_GAP_THRESHOLDS[degree]) <= 1e-5
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_threshold_is_a_crossing(degree):
+    # checked by eval_generic alone: T = (4 - gap) log^2 disc passes at the
+    # returned log log disc, and 1e-5 below it fails or lies below the floor
+    c = 1.0 + 1.0 / (4.0 * degree)
+    for gap in (1.0 / (2.0 * degree), 1.0 / (3.0 * degree)):
+
+        def evaluation(loglog_disc):
+            x = math.exp(loglog_disc)
+            shape = FieldShape(degree, degree % 2, x)
+            return eval_generic(shape, TestConfig((4.0 - gap) * x * x, c), floor_mode=True)
+
+        loglog = loglog_disc_threshold(degree, target_gap=gap)
+        assert evaluation(loglog).passed, (degree, gap)
+        try:
+            below = evaluation(loglog - 1e-5).passed
+        except PreconditionError:
+            below = False
+        assert not below, (degree, gap)
+
+
+def test_threshold_degree_below_two():
+    for degree in (0, 1, -3):
+        with pytest.raises(ValueError, match="degree must be at least 2"):
+            loglog_disc_threshold(degree)
 
 
 @pytest.mark.parametrize("degree", [2, 5])
@@ -644,14 +690,19 @@ def test_threshold_gap_out_of_range(degree):
             loglog_disc_threshold(degree, target_gap=gap)
 
 
-# pass rules in T = 3.75 x^2 (degree 2, gap 1/4) that reach each failure of
-# the threshold search: no pass up to x = e^41, a pass down to x = e^1, and
-# a pass band x in [e^12.5, 1.9 e^12.5], which of the scan beyond the root
-# only its last point, twice the root, leaves
+def in_band(T):
+    x = np.sqrt(T / 3.75) / math.exp(12.5)
+    return (1.0 <= x) & (x <= 1.9)
+
+
+# pass rules on arrays of T = 3.75 x^2 (degree 2, gap 1/4) that reach each
+# failure of the threshold search: no pass up to x = e^41, a pass down to
+# x = e^1, and a pass band x in [e^12.5, 1.9 e^12.5], which of the scan
+# beyond the root only its last point, twice the root, leaves
 THRESHOLD_FAILURES = {
-    "did not bracket a root": lambda T: False,
-    "passes at every probed size": lambda T: True,
-    "not monotone beyond the threshold": lambda T: 1.0 <= math.sqrt(T / 3.75) / math.exp(12.5) <= 1.9,
+    "did not bracket a root": lambda T: np.zeros(np.shape(T), dtype=bool),
+    "passes at every probed size": lambda T: np.ones(np.shape(T), dtype=bool),
+    "not monotone beyond the threshold": in_band,
 }
 
 
@@ -659,10 +710,12 @@ THRESHOLD_FAILURES = {
 def test_threshold_no_bound_paths(monkeypatch, message):
     rule = THRESHOLD_FAILURES[message]
 
-    def ruled(shape, cfg, floor_mode=False):
-        return TestEvaluation("generic-floor", 1.0 if rule(cfg.T) else -1.0, ())
+    def ruled(degree, r1, log_disc, T, s, floor_mode):
+        return np.where(rule(T), 1.0, -1.0), ()
 
-    monkeypatch.setattr(criteria_engine, "eval_generic", ruled)
+    # a floor of 0 makes every probed size valid, so the rule alone decides
+    monkeypatch.setattr(criteria_engine, "_generic_floor", lambda degree, c, floor_mode: 0.0)
+    monkeypatch.setattr(criteria_engine, "_generic_terms", ruled)
     with pytest.raises(NoBoundCertifiedError, match=message):
         loglog_disc_threshold(2)
 
@@ -700,8 +753,12 @@ def test_coefficient_of_S_guards():
     for target in (0.0, -1.0):
         with pytest.raises(ValueError):
             coefficient_of_S(4, 1.1, target)
-    with pytest.raises(ValueError):
-        coefficient_of_S(4, 0.99, 3.9)
+    for c in (0.99, math.nan):
+        with pytest.raises(ValueError, match="c >= 1"):
+            coefficient_of_S(4, c, 3.9)
+    for degree in (0, 1):
+        with pytest.raises(ValueError, match="degree must be at least 2"):
+            coefficient_of_S(degree, 1.1, 3.9)
     # window_denominator(2, 12) = 2 - 24 (1 - log 2) < 0
     with pytest.raises(WindowTooWideError):
         coefficient_of_S(12, 2.0, 3.9)
