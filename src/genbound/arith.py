@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .rational_sieve import default_table
+
 __all__ = ["is_probable_prime", "factorize", "is_fundamental_discriminant"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -39,29 +41,34 @@ def is_probable_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> tuple[dict[int, int], int]:
-    """Trial division up to _TRIAL_LIMIT, then primality/square tests on the rest.
+    """Trial division by the primes up to min(sqrt|n|, _TRIAL_LIMIT), taken
+    from the shared sieve; what is left is then 1 or a prime, unless |n|
+    exceeds _TRIAL_LIMIT^2, where primality and square tests decide it.
 
-    Returns (exponents, cofactor); cofactor is 1 unless an unfactored
+    Returns (exponents, cofactor): the prime factors found, in increasing
+    order, with their exponents; cofactor is 1 unless an unfactored
     composite remains.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
+    bound = min(math.isqrt(n), _TRIAL_LIMIT)
     out: dict[int, int] = {}
-    for p in range(2, _TRIAL_LIMIT + 1):
+    for p in default_table().primes_up_to(bound).tolist():
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out, 1
-    if is_probable_prime(n):
-        out[n] = out.get(n, 0) + 1
+    # no prime up to bound divides what is left, so below (bound + 1)^2 it
+    # is 1 or a prime
+    if n < (bound + 1) ** 2 or is_probable_prime(n):
+        if n > 1:
+            out[n] = 1
         return out, 1
     r = math.isqrt(n)
     if r * r == n and is_probable_prime(r):
-        out[r] = out.get(r, 0) + 2
+        out[r] = 2
         return out, 1
     return out, n
 

@@ -37,6 +37,14 @@ term, the majorant coefficients and the validity floor) is taken once per
 scale, in _Scales: one row of floats for eval_generic and
 loglog_disc_threshold, and for each minimal_T_generic solve one scale
 table of arrays over the candidate scales.
+
+What the exact criterion needs of (T, c) alone is taken in _ExactPoints,
+and _exact_terms adds the field's part: one point of floats for
+eval_exact, or a block of minimal_T_exact's grid. The blocks are the same
+for every field, so the table _exact_block keeps the last 8, each built
+on first use and read-only (at most 5.4 MB); an alpha or beta patched into
+this module reaches minimal_T_exact only through blocks built after the
+patch.
 """
 
 import math
@@ -105,10 +113,6 @@ class FieldShape:
             raise ValueError(f"log_disc must be positive and at most {_MAX_LOG_DISC:.6g}, "
                              "so that 8 log_disc^2 is a finite float")
 
-    @property
-    def delta2(self) -> int:
-        return _delta2(self.degree)
-
     @classmethod
     def of_field(cls, field) -> "FieldShape":
         return cls(field.degree, field.r1, field.log_abs_disc)
@@ -167,25 +171,57 @@ class BoundReport:
         return self.evaluation.margin
 
 
-def _exact_terms(field, T, c):
-    """LHS and named RHS terms of the exact criterion on the window (T, cT].
+class _ExactPoints(NamedTuple):
+    """The parts of the exact criterion that depend on (T, c) alone.
 
-    T and c are floats or numpy arrays that broadcast together; every term
-    comes out in their broadcast shape. At c = 1 the window is empty and
-    its term is zero.
+    Floats for one point (eval_exact), or numpy arrays over a block of the
+    (T, c) grid (minimal_T_exact, through _exact_block). alpha(cT) and
+    beta(cT) are kept apart from sqrt(cT), so that _exact_terms multiplies
+    them in the order a single formula would.
+    """
+
+    T: object
+    ct: object  # c T
+    sqrt_ct: object
+    lhs: object  # (sqrt(cT) - 1 - L/2)^2
+    disc_factor: object  # 2 (sqrt(cT) - 1)
+    alpha: object  # alpha(cT)
+    beta: object  # beta(cT)
+    short_factor: object  # 8 sqrt(cT)
+
+    def take(self, i) -> "_ExactPoints":
+        """The points at index, slice or mask i of every array field."""
+        return _ExactPoints(*(v[i] for v in self))
+
+
+def _exact_points(T, c) -> _ExactPoints:
+    """The (T, c)-only parts of the exact criterion.
+
+    T and c are floats or numpy arrays that broadcast together. alpha and
+    beta are looked up in this module's namespace, so wrappers placed there
+    see these calls.
     """
     ct = c * T
     a = np.sqrt(ct)
-    primes, powers = field.norm_indexes(np.max(ct))
     lhs = np.square(a - 1.0 - 0.5 * np.log(ct))
+    return _ExactPoints(T, ct, a, lhs, 2.0 * (a - 1.0), alpha(ct), beta(ct), 8.0 * a)
+
+
+def _exact_terms(field, p: _ExactPoints):
+    """LHS and named RHS terms of the exact criterion at the points p.
+
+    Every term comes out in the broadcast shape of p. At c = 1 the window is
+    empty and its term is zero.
+    """
+    primes, powers = field.norm_indexes(np.max(p.ct))
     terms = (
-        ("discriminant", 2.0 * (a - 1.0) * field.log_abs_disc),
-        ("arch_real", -field.r1 * a * alpha(ct)),
-        ("arch_total", -field.degree * a * beta(ct)),
-        ("short_ideals", 8.0 * a * powers.short_sum(a)),
-        ("window_primes", 2.0 * primes.window_sum(T, ct)),
+        ("discriminant", p.disc_factor * field.log_abs_disc),
+        ("arch_real", -field.r1 * p.sqrt_ct * p.alpha),
+        ("arch_total", -field.degree * p.sqrt_ct * p.beta),
+        ("short_ideals", p.short_factor * powers.short_sum(p.sqrt_ct)),
+        ("window_primes", 2.0 * primes.window_sum(p.T, p.ct)),
     )
-    return lhs, terms
+    return p.lhs, terms
 
 
 def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
@@ -196,7 +232,7 @@ def eval_exact(field, cfg: TestConfig) -> TestEvaluation:
     window prime sum. Only the intrinsic hypothesis T > c is required;
     the 73.2/81 floors belong to the majorant-based tests.
     """
-    lhs, terms = _exact_terms(field, cfg.T, cfg.c)
+    lhs, terms = _exact_terms(field, _exact_points(cfg.T, cfg.c))
     return _evaluation("exact", lhs, terms)
 
 
@@ -499,38 +535,77 @@ _EXACT_SCALES = np.array(sorted(
 _FIRST_T_BLOCK = (2, 16)
 _MAX_T_BLOCK = 256
 
+# blocks of the exact grid that _exact_block keeps. A block holds 7 float
+# arrays and a mask of up to 256 T by 46 scales, at most 0.67 MB, so the
+# cache holds at most 5.4 MB; blocks 0-3 (T < 212), which every quadratic
+# field of genbench's census (|d| < 10^5) stays in, take 0.55 MB
+_EXACT_BLOCK_CACHE_SIZE = 8
+
+
+class _ExactBlock(NamedTuple):
+    """Block k of the exact grid: integer T in [lo, hi) against _EXACT_SCALES."""
+
+    lo: int
+    hi: int
+    points: _ExactPoints  # arrays of shape (hi - lo, 1) for T, (hi - lo, scales) else
+    valid: np.ndarray  # c < T
+
+
+@lru_cache(maxsize=_EXACT_BLOCK_CACHE_SIZE)
+def _exact_block(k: int) -> _ExactBlock:
+    """The (T, c)-only terms of block k, built once per process and read-only."""
+    lo, hi = _FIRST_T_BLOCK
+    for _ in range(k):
+        lo, hi = hi, hi + min(2 * (hi - lo), _MAX_T_BLOCK)
+    T = np.arange(lo, hi, dtype=np.float64)[:, None]
+    block = _ExactBlock(lo, hi, _exact_points(T, _EXACT_SCALES), _EXACT_SCALES < T)
+    for v in (*block.points, block.valid):
+        v.flags.writeable = False
+    return block
+
 
 def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
     """Least integer norm bound the exact criterion certifies for this field.
 
-    Scans T = 2, 3, ... up to t_ceiling (default 4 log^2 disc) and, for each
-    T, the window scales c of _EXACT_SCALES with c < T in ascending order;
-    the first passing (T, c) in that order is returned. The criterion is
-    evaluated in blocks of consecutive T times all scales in one numpy
-    broadcast: T in [2, 16) first, then each block twice as long as the
-    last, up to _MAX_T_BLOCK values of T. The first valid grid point with
-    margin > 0 is the answer; each grid margin is the float eval_exact gives
-    at that point (the premise in the module docstring). eval_exact's
-    evaluation there is the one reported; if it does not pass, the scalar
-    and the array disagree, and the solver raises ArithmeticInvariantError.
+    Scans T = 2, 3, ... up to t_ceiling (default 4 log^2 disc, else a
+    finite float) and, for each T, the window scales c of _EXACT_SCALES
+    with c < T in ascending order; the first passing (T, c) in that order
+    is returned. The criterion is evaluated in blocks of consecutive T
+    times all scales in one numpy broadcast: T in [2, 16) first, then each
+    block twice as long as the last, up to _MAX_T_BLOCK values of T. The
+    first valid grid point with margin > 0 is the answer; each grid margin
+    is the float eval_exact gives at that point (the premise in the module
+    docstring). eval_exact's evaluation there is the one reported; if it
+    does not pass, the scalar and the array disagree, and the solver raises
+    ArithmeticInvariantError.
+
+    A block's (T, c)-only terms (_exact_points) are the same for every
+    field, so they are read from _exact_block, a table that keeps the last
+    _EXACT_BLOCK_CACHE_SIZE = 8 blocks built in the process (at most 5.4
+    MB); a block cut at the cap is a row slice of the full one. Only the
+    norm sums and the field's own factors are computed per field. An alpha
+    or beta patched into this module therefore reaches this solver only
+    through blocks built after the patch (_exact_block.cache_clear() drops
+    the others); eval_exact calls them on every evaluation.
     """
     if t_ceiling is None:
         t_ceiling = 4.0 * field.log_abs_disc ** 2
+    if not math.isfinite(t_ceiling):
+        raise PreconditionError(f"t_ceiling must be finite, not {t_ceiling!r}")
     cap = math.floor(t_ceiling)
     subject = f"degree {field.degree}, |disc| {abs(field.field_disc)}"
     path = []
-    lo, hi = _FIRST_T_BLOCK
+    k, lo = 0, _FIRST_T_BLOCK[0]
     while lo <= cap:
-        hi = min(hi, cap + 1)
-        T = np.arange(lo, hi, dtype=np.float64)[:, None]
-        lhs, terms = _exact_terms(field, T, _EXACT_SCALES)
-        margin = _margin(lhs, terms)
-        valid = _EXACT_SCALES < T
+        block = _exact_block(k)
+        hi = min(block.hi, cap + 1)
+        points, valid = block.points.take(slice(hi - lo)), block.valid[: hi - lo]
+        margin = _margin(*_exact_terms(field, points))
         passed = valid & (margin > 0.0)
         if passed.any():
             # the first pass in scan order, T ascending, then c
             i, j = divmod(int(passed.argmax()), _EXACT_SCALES.size)
-            t, c = float(T[i, 0]), float(_EXACT_SCALES[j])
+            t, c = float(points.T[i, 0]), float(_EXACT_SCALES[j])
             ev = eval_exact(field, TestConfig(t, c))
             if not ev.passed:
                 raise ArithmeticInvariantError(
@@ -539,7 +614,7 @@ def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
             path.append(f"T={t:g}: passes at c={c:.6f}")
             return BoundReport("exact", subject, t, c, ev, tuple(path))
         path.append(f"T in [{lo}, {hi - 1}]: {int(valid.sum())} points, none pass")
-        lo, hi = hi, hi + min(2 * (hi - lo), _MAX_T_BLOCK)
+        k, lo = k + 1, block.hi
     raise NoBoundCertifiedError(f"no integer T <= {cap} certified by the exact test")
 
 

@@ -21,10 +21,11 @@ index.
 The prime-ideal powers are built from these splitting types and kept
 only as two prefix-sum indexes (rational_sieve.NormIndex): one over the
 prime ideals, for the window sum over (T, cT], and one over all
-prime-ideal powers, for the short sum. Each sum is two binary searches
-and a difference of prefix sums, for scalar bounds or numpy arrays of
-them; the difference cancels, with an absolute error of a few unit
-roundoffs times the prefix sums at the upper bound.
+prime-ideal powers, for the short sum. Norms are integers, so each sum
+is two lookups in a rank table and a difference of prefix sums, for
+scalar bounds or numpy arrays of them; the difference cancels, with an
+absolute error of a few unit roundoffs times the prefix sums at the upper
+bound.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from .arith import factorize, is_fundamental_discriminant, is_probable_prime
 from .errors import (
     IrreducibilityError,
+    PreconditionError,
     SplittingUnavailableError,
     UnknownDiscriminantError,
     UnsupportedRepresentationError,
@@ -321,6 +323,8 @@ class NumberField:
 
     def norm_indexes(self, x: float) -> tuple[NormIndex, NormIndex]:
         """Indexes over the prime ideals and over all prime-ideal powers, complete to norm x."""
+        if not x < math.inf:
+            raise PreconditionError(f"norm bound must be below infinity, not {x!r}")
         with self._stream_lock:
             self._ensure_stream(x)
             return self._prime_index, self._power_index

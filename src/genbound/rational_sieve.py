@@ -6,13 +6,14 @@ A query above the fixed ceiling MAX_LIMIT raises SieveCapacityError
 before anything is allocated, instead of truncating.
 
 Every weighted sum over norms in the package is read from a NormIndex:
-the sorted norms N with the prefix sums W, WL and WI of w, w log N and
-w / N. A sum over a range of norms is then two binary searches and a
-difference of prefix sums, for one bound or for a numpy array of bounds
-at once. The difference cancels: its absolute error is a few unit
-roundoffs times the prefix sums at the upper bound (up to 1e-10 for field
-windows with norms near 10^4), where a direct sum over the range would
-err relative to the range's own terms.
+the sorted integer norms N with the prefix sums W, WL and WI of w, w log N
+and w / N. The norms are integers, so the number of them up to a bound x
+is a rank table read at floor(x); a sum over a range of norms is then two
+table lookups and a difference of prefix sums, for one bound or for a
+numpy array of bounds at once. The difference cancels: its absolute
+error is a few unit roundoffs times the prefix sums at the upper bound
+(up to 1e-10 for field windows with norms near 10^4), where a direct sum
+over the range would err relative to the range's own terms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SieveCapacityError
+from .errors import PreconditionError, SieveCapacityError
 
 __all__ = [
     "MAX_LIMIT",
@@ -38,23 +39,32 @@ MAX_LIMIT = 10_000_000
 
 
 class NormIndex:
-    """Sorted norms N with weights w, and the prefix sums of w, w log N and w / N.
+    """Sorted integer norms N with weights w, and the prefix sums of w, w log N and w / N.
 
     Every query takes a scalar bound or, elementwise, numpy arrays of bounds
-    that broadcast together; each costs two binary searches at most.
+    that broadcast together; each costs two lookups in a rank table at
+    most. The table holds #{N <= k} for every integer k up to the largest
+    norm, 8 bytes each.
     """
 
     def __init__(self, norms, weights):
         self.norms = np.asarray(norms, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
+        whole = self.norms.astype(np.intp)
+        if not np.array_equal(whole, self.norms):
+            raise PreconditionError("norms must be integers")
+        self._ranks = np.cumsum(np.bincount(whole, minlength=1))
+        self._top = float(self._ranks.size - 1)
         zero = np.zeros(1)
         self._w = np.concatenate((zero, np.cumsum(weights)))
         self._wl = np.concatenate((zero, np.cumsum(weights * np.log(self.norms))))
         self._wi = np.concatenate((zero, np.cumsum(weights / self.norms)))
 
     def rank(self, x):
-        """Number of norms <= x."""
-        return np.searchsorted(self.norms, x, side="right")
+        """Number of norms <= x: the rank table at floor(x), x clipped to
+        [0, largest norm]. A NaN x counts every norm, as a sorted search
+        places NaN after every number."""
+        return self._ranks[np.fmax(np.fmin(x, self._top), 0.0).astype(np.intp)]
 
     def window_sum(self, low, high):
         """Sum of w log(high / N) over low < N <= high: log(high) dW - dWL."""

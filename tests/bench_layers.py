@@ -13,7 +13,11 @@ d = -100 003 alone; a fresh NumberField and its norm indexes at targets 64
 and 2048, for that field and for the cubic fixture x^3 - x - 1 of
 |disc| 23; one
 eval_exact and minimal_T_exact on that quadratic field, its indexes
-already built; one generic array evaluation over the 65 candidate scales,
+already built, and minimal_T_exact on a fresh copy of it (its ideal
+stream built in the solve, the exact grid's block table already filled);
+one build of block 3 of that table, T in [100, 212); factorize(-100 003),
+as the field's discriminant certificate and the fundamental-discriminant
+test run it; one generic array evaluation over the 65 candidate scales,
 one round of the generic solver's search (the margins at the 17 points
 that cut each scale's bracket into 16 parts, ends included, decided by
 margin > 0), minimal_T_generic for one shape per degree 2..10, one scalar
@@ -32,11 +36,13 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from genbound.arith import factorize  # noqa: E402
 from genbound.criteria_engine import (  # noqa: E402
     _PARTS,
     FieldShape,
     TestConfig,
     _candidate_scales,
+    _exact_block,
     _generic_terms,
     _margin,
     _scales,
@@ -83,6 +89,26 @@ def test_minimal_T_exact(benchmark):
     field = NumberField(QUADRATIC)
     minimal_T_exact(field)
     assert benchmark(minimal_T_exact, field).evaluation.passed
+
+
+def test_minimal_T_exact_fresh_field(benchmark):
+    minimal_T_exact(NumberField(QUADRATIC))
+
+    def fresh_field():
+        return (NumberField(QUADRATIC),), {}
+
+    report = benchmark.pedantic(minimal_T_exact, setup=fresh_field, rounds=200)
+    assert report.evaluation.passed
+
+
+def test_exact_block(benchmark):
+    # __wrapped__ bypasses the cache, so each round builds the block
+    block = benchmark(_exact_block.__wrapped__, 3)
+    assert (block.lo, block.hi) == (100, 212)
+
+
+def test_factorize(benchmark):
+    assert benchmark(factorize, -100_003) == ({100_003: 1}, 1)
 
 
 def test_generic_array_evaluation(benchmark):

@@ -33,6 +33,7 @@ from genbound.criteria_engine import (
     TestConfig,
     TestEvaluation,
     _candidate_scales,
+    _exact_block,
     _exact_terms,
     _generic_floor,
     _generic_terms,
@@ -152,6 +153,30 @@ def test_solver_ceiling_too_low():
         minimal_T_exact(K, t_ceiling=210.5)
     with pytest.raises(NoBoundCertifiedError):
         minimal_T_exact(K, t_ceiling=1.5)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="t_ceiling must be finite"):
+            minimal_T_exact(K, t_ceiling=t)
+
+
+def test_exact_block_table_is_read_only():
+    # every field reads the same cached arrays, so none may be written
+    block = _exact_block(1)
+    assert _exact_block(1) is block
+    for v in (*block.points, block.valid):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0
+
+
+def test_exact_reports_do_not_depend_on_the_block_table():
+    # a solve reads the same grid from a fresh table as from a warm one,
+    # and from a last block cut at the cap as from the whole block
+    fields = [quadratic_field(d) for d in BLOCK_EDGE_DISCS + IMPLIED_DISCS]
+    warm = [minimal_T_exact(K) for K in fields]
+    _exact_block.cache_clear()
+    for K, report in zip(fields, warm):
+        assert repr(minimal_T_exact(K)) == repr(report)
+        _exact_block.cache_clear()
+        assert repr(minimal_T_exact(K, t_ceiling=report.T_bound)) == repr(report)
 
 
 def test_empty_window_term_is_zero():
@@ -450,7 +475,6 @@ def test_shape_and_config_preconditions():
     for degree, r1, x, match in bad_shapes:
         with pytest.raises(ValueError, match=match):
             FieldShape(degree, r1, x)
-    assert FieldShape(3, 3, 1e-9).delta2 == 0
     # the largest log_disc accepted, and one well inside, solve with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -539,6 +563,16 @@ def assert_generic_margins_identical():
                     assert eval_generic(shape, cfg, floor_mode).margin == m, (shape, floor_mode, cfg)
 
 
+def exact_grid_margins(field, t_end):
+    """The exact grid's margins for T in [2, t_end) against every scale,
+    read block by block from _exact_block, as minimal_T_exact reads them."""
+    margins, k = [], 0
+    while (block := _exact_block(k)).lo < t_end:
+        margins.append(_margin(*_exact_terms(field, block.points)))
+        k += 1
+    return np.concatenate(margins)[: t_end - 2]
+
+
 def assert_exact_margins_identical():
     # T in [2, 300) against every scale: every valid point for the field of
     # -9 999 991, and for each other field its first pass, the point
@@ -550,7 +584,7 @@ def assert_exact_margins_identical():
     points = np.argwhere(valid).tolist()
     rng = random.Random(19)
     for K in fields:
-        margin = _margin(*_exact_terms(K, T, _EXACT_SCALES))
+        margin = exact_grid_margins(K, 300)
         if K.field_disc == -9_999_991:
             checked = points
         else:

@@ -20,6 +20,7 @@ from genbound.arith import factorize, is_probable_prime
 from genbound.criteria_engine import minimal_T_exact
 from genbound.errors import (
     IrreducibilityError,
+    PreconditionError,
     SplittingUnavailableError,
     UnknownDiscriminantError,
     UnsupportedRepresentationError,
@@ -316,6 +317,13 @@ def test_stream_below_two():
     K = NumberField([5, 0, 1])
     assert [index.rank(1.5) for index in K.norm_indexes(1.5)] == [0, 0]
     assert K.short_ideal_sum(1.5) == 0.0
+
+
+def test_stream_bound_must_be_below_infinity():
+    K = NumberField([5, 0, 1])
+    for x in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="below infinity"):
+            K.norm_indexes(x)
 
 
 def reference_indexes(field, x):

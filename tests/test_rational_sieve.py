@@ -247,6 +247,27 @@ def test_weighted_sum_against_naive(index):
         assert index.window_sum(T, cT) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def test_rank_is_a_sorted_search(index):
+    # norms are integers, so the rank table read at floor(x) counts the
+    # norms <= x, at integer, half-integer, zero, negative and
+    # past-the-end bounds, for scalars and 2-D arrays, and on an empty index
+    bounds = np.array([
+        [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0],
+        [1.5, 2.0, 2.5, 16.0, 16.5, 99_991.0],
+        [99_991.5, 1e5, 1e5 + 0.5, 1e6, 1e300, math.inf],
+        [-math.inf, -1e300, 7.0, 7.5, 8.0, 8.5],
+    ])
+    for norms, ix in ((index.norms, index), (np.zeros(0), NormIndex([], []))):
+        want = np.searchsorted(norms, bounds, side="right")
+        assert np.array_equal(ix.rank(bounds), want)
+        for x, w in zip(bounds.ravel().tolist(), want.ravel().tolist()):
+            assert ix.rank(x) == w, x
+        # a NaN bound counts every norm, as a sorted search places NaN last
+        assert ix.rank(math.nan) == np.searchsorted(norms, math.nan, side="right") == norms.size
+    with pytest.raises(PreconditionError, match="integers"):
+        NormIndex([2.0, 2.5], [1.0, 1.0])
+
+
 def test_weighted_sum_empty_window(index):
     assert index.rank(25) - index.rank(24) == 1  # 25 = 5^2
     assert index.rank(22) - index.rank(20) == 0
