@@ -18,8 +18,12 @@ minimal_T_exact evaluates a block of the (T, c) grid in one numpy
 broadcast; both crossings of the generic criterion, minimal_T_generic's
 least T at each scale and loglog_disc_threshold's least log log disc, are
 found by one bracket round (_bracket_round) that decides 17 points in one
-call. A margin is the lhs less each term in order (_margin), at one point
-(TestEvaluation.margin) as on an array; margin > 0 decides every point.
+call. Two lemmas, each in its solver's docstring, make the rounds find the
+right crossing: the generic margin increases in T at a fixed c
+(minimal_T_generic), and the floor-mode margin at T = (4 - gap) log^2 disc
+is strictly convex in log disc (loglog_disc_threshold). A margin is the lhs
+less each term in order (_margin), at one point (TestEvaluation.margin) as
+on an array; margin > 0 decides every point.
 
 The premise that makes a scalar evaluation and the array element at the
 same (T, c) one float: numpy computes each element of a ufunc the same way
@@ -329,8 +333,8 @@ def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
         raise ValueError("degree must be at least 2")
     if not alpha_target > 0:
         raise ValueError("alpha_target must be positive")
-    if not c >= 1.0:
-        raise ValueError("need c >= 1")
+    if not 1.0 <= c < math.inf:
+        raise ValueError("need c >= 1 and finite")
     den = c - float(_majorant_coefficients(c, degree)[0])
     if den <= 0.0:
         raise WindowTooWideError(f"window denominator nonpositive at c={c:g}, degree {degree}")
@@ -621,15 +625,29 @@ def minimal_T_exact(field, t_ceiling: float | None = None) -> BoundReport:
 def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float:
     """log log of the least discriminant size certifying T = (4 - gap) log^2 disc.
 
-    Floor mode, c = 1 + 1/(4 degree), worst-case r1 = degree mod 2. The
-    pass region need not be one-sided: large degrees also pass in a band
-    of small discriminants before failing again, so the solver brackets the
-    LAST crossing from far above. One array call each decides the probes
-    13, 15, ..., 39 and the walk down in steps of 0.05 from the first
-    passing probe, itself its first point, to the first failure; rounds of
-    _bracket_round narrow that step to _THRESHOLD_TOL, and a ten-point scan
-    beyond the root certifies the for-all-larger reading. A point passes
-    where T is valid and margin > 0; eval_generic re-checks the answer.
+    Floor mode, c = 1 + 1/(4 degree), worst-case r1 = degree mod 2. A point
+    passes where T is valid and margin > 0. One array call decides the grid
+    log log disc = 1, 1.05, ..., 39; rounds of _bracket_round narrow the
+    step from its last failing point to the pass after it to
+    _THRESHOLD_TOL, and eval_generic re-checks the answer, the upper end.
+
+    Lemma: the margin is strictly convex in x = log disc on its valid range
+    T >= 1000. Floor mode fixes alpha = 1 and beta = 4.39. Write
+    k = 4 - gap, T = k x^2, L = log(cT), and M1, M2 from
+    _majorant_coefficients. The margin is K x - 29 delta2/(sqrt(k) x)
+    - sqrt(c) L - M2 L^2/(2 pi) + const, with K = c sqrt(k) - 2 sqrt(c)
+    - M1 sqrt(k), and as dL/dx = 2/x its second derivative is
+    [2 sqrt(c) + 2 M2 (L - 2)/pi]/x^2 - 58 delta2/(sqrt(k) x^3). On the
+    valid range L >= log(1000 c) > 2, so x [2 sqrt(c) + 2 M2 (L - 2)/pi]
+    grows with x; for delta2 = 1 (degree 2) it exceeds 58/sqrt(k) at the
+    guard by sqrt(1000) (2 sqrt(c) + 2 M2 (log(1000 c) - 2)/pi)/58 = 1.59,
+    whatever the gap (test_threshold_margin_convex_from_the_guard). So the
+    valid failing sizes form one interval, the band of exceptions, and a
+    pass after a valid failure is followed only by passes. The grid's first
+    point has T <= 4 e^2 < 1000 and always fails; when its last point fails,
+    the search did not bracket a root. Left unproved: a failing band that
+    holds no grid point, narrower than 0.05 in log log disc and between two
+    passing points, is left to an interval-arithmetic check (ROADMAP item 1).
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
@@ -642,28 +660,20 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float
     r1 = degree % 2
     s = _scales(degree, c, True)
 
-    def passes(x):
-        """Whether T = coeff x^2 is valid and passes, at an array of log disc x."""
+    def passes(loglog):
+        """Whether T = coeff log^2 disc is valid and passes, at an array of log log disc."""
+        x = np.exp(loglog)
         T = coeff * x * x
         return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(degree, r1, x, T, s, True)) > 0.0)
 
-    probes = np.arange(13.0, 40.0, 2.0)
-    up = passes(np.exp(probes))
-    if not up.any():
+    grid = 1.0 + 0.05 * np.arange(761.0)
+    j = int(np.flatnonzero(~passes(grid))[-1])
+    if j == grid.size - 1:
         raise NoBoundCertifiedError("threshold search did not bracket a root")
-    top = probes[up.argmax()]
-    walk = top - 0.05 * np.arange(20.0 * (top - 1.0) + 1.0)
-    down = ~passes(np.exp(walk))
-    if not down.any():
-        raise NoBoundCertifiedError("criterion passes at every probed size; no threshold")
-    j = int(down.argmax())
-    lo, hi = walk[j:j + 1], walk[j - 1:j]
+    lo, hi = grid[j:j + 1], grid[j + 1:j + 2]
     while hi[0] - lo[0] > _THRESHOLD_TOL:
-        lo, hi, _, _ = _bracket_round(lo, hi, lambda loglog: passes(np.exp(loglog)))
-    x_star = np.exp(hi)
-    if not passes(x_star * np.array([1.01, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.85, 2.0])).all():
-        raise NoBoundCertifiedError("criterion not monotone beyond the threshold")
-    x_star = float(x_star[0])
+        lo, hi, _, _ = _bracket_round(lo, hi, passes)
+    x_star = float(np.exp(hi[0]))
     shape = FieldShape(degree, r1, x_star)
     if not eval_generic(shape, TestConfig(coeff * x_star * x_star, c), floor_mode=True).passed:
         raise ArithmeticInvariantError(f"threshold log log disc {hi[0]:g} passes on the array "

@@ -31,6 +31,7 @@ bound.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -102,6 +103,14 @@ def parse_poly(text: str) -> list:
     return coeffs
 
 
+def _integer(c) -> int:
+    """A coefficient as a Python int; a Python or numpy integer, nothing else."""
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise UnsupportedRepresentationError(f"coefficient {c!r} is not an integer") from None
+
+
 def _signed_divisors(n):
     """The divisors of n and their negatives: for each divisor d <= sqrt|n|,
     in increasing order, the set {d, -d, |n|/d, -|n|/d}. None for n = 0."""
@@ -146,9 +155,17 @@ def _quartic_quadratic_split(coeffs):
 def _certify_irreducible(coeffs) -> str:
     """Certificate string, or IrreducibilityError."""
     n = len(coeffs) - 1
+    if n == 2:
+        # x^2 + b x + c has a rational, hence integer, root exactly when
+        # b^2 - 4c is a square k^2; k = b (mod 2), so (k - b)/2 is exact
+        b = coeffs[1]
+        d = b * b - 4 * coeffs[0]
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            raise IrreducibilityError(f"reducible: integer root {(math.isqrt(d) - b) // 2}")
+        return "no rational root"
     for r in _integer_roots(coeffs):
         raise IrreducibilityError(f"reducible: integer root {r}")
-    if n <= 3:
+    if n == 3:
         # monic with no integer root: any factorization would need a
         # rational root
         return "no rational root"
@@ -178,7 +195,7 @@ class NumberField:
     """
 
     def __init__(self, coeffs, disc: int | None = None):
-        coeffs = poly_trim([int(c) for c in coeffs])
+        coeffs = poly_trim([_integer(c) for c in coeffs])
         if not coeffs or coeffs[-1] != 1:
             raise UnsupportedRepresentationError("monic polynomial required")
         self.degree = len(coeffs) - 1

@@ -530,7 +530,10 @@ def generated_by_primes_up_to(disc: int, bound: float):
 
     Returns (generates, subgroup_order). The subgroup is the class group's
     prime growth up to the last prime <= bound, so no composition is made.
+    A bound of +inf takes every prime, -inf none; NaN raises ValueError.
     """
+    if math.isnan(bound):
+        raise ValueError("bound must not be NaN")
     group = class_group(disc)
     order = 1
     for p, size in group.prime_growth:

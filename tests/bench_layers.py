@@ -21,8 +21,9 @@ test run it; one generic array evaluation over the 65 candidate scales,
 one round of the generic solver's search (the margins at the 17 points
 that cut each scale's bracket into 16 parts, ends included, decided by
 margin > 0), minimal_T_generic for one shape per degree 2..10, one scalar
-eval_generic, and loglog_disc_threshold(2) and (9), the second with the
-longest walk down; class_group built afresh at d = -999 983, at
+eval_generic, and loglog_disc_threshold(2), whose answer tops a fail band,
+and (9), whose answer lies at the floor-mode guard T >= 1000, each one
+grid call plus bracket rounds; class_group built afresh at d = -999 983, at
 d = -17 927 (h = 140, 2 and 3 split) and at d = 999 993 (h = 1, narrow
 class number 2, so each cycle is joined with its negated partner), one
 composition of two representatives of d = -17 927, and
@@ -140,8 +141,8 @@ def test_eval_generic(benchmark):
     assert benchmark(eval_generic, shape, cfg).criterion_id == "generic"
 
 
-# degree 9 returns the log log of the floor-mode guard T >= 1000, which the
-# walk down from e^13 reaches only after some 200 steps of 0.05
+# degree 2's answer tops a fail band, and degree 9's is the log log of the
+# floor-mode guard T >= 1000; each is one grid call plus bracket rounds
 @pytest.mark.parametrize("degree, want", [(2, 9.93559), (9, 2.76772)])
 def test_loglog_disc_threshold(benchmark, degree, want):
     assert benchmark(loglog_disc_threshold, degree) == pytest.approx(want, abs=1e-5)

@@ -711,6 +711,41 @@ def test_threshold_is_a_crossing(degree):
         assert not below, (degree, gap)
 
 
+def threshold_gaps(degree):
+    """Gaps spread over (0, 1/(2 degree)], with both canonical gaps."""
+    spread = np.linspace(0.0, 1.0 / (2.0 * degree), 26)[1:].tolist()
+    return sorted(set(spread) | {1.0 / (3.0 * degree)})
+
+
+def test_threshold_margin_convex_from_the_guard():
+    # the lemma of loglog_disc_threshold: in floor mode the margin at
+    # T = k x^2 has second derivative [2 sqrt(c) + 2 M2 (L - 2)/pi]/x^2
+    # - 58 delta2/(sqrt(k) x^3) in x = log disc, positive from the guard
+    # T >= 1000 on once L > 2 there and, for degree 2, the bracket beats
+    # 58/sqrt(k) at the guard. The float margin's chord slopes increase over
+    # 20 e-folds of x above the guard, log log disc up to about 22.8, beyond
+    # every threshold; further up the margins' rounding, a few ulps of terms
+    # near x, swamps second differences of order 1/x
+    for n in range(2, 13):
+        c = 1.0 + 1.0 / (4.0 * n)
+        s = _scales(n, c, True)
+        _, m2 = _majorant_coefficients(c, n)
+        L = math.log(c * s.floor)
+        assert L > 2.0, n
+        if n == 2:
+            # x sqrt(k) = sqrt(T), so the factor at the guard is the same for every gap
+            bracket = 2.0 * math.sqrt(c) + 2.0 * m2 * (L - 2.0) / math.pi
+            assert math.sqrt(s.floor) * bracket >= 1.5 * 58.0, n
+        for gap in threshold_gaps(n):
+            k = 4.0 - gap
+            # the grid's first point, log log disc = 1, is below the guard
+            assert k * math.exp(1.0) ** 2 < s.floor, (n, gap)
+            x = math.sqrt(s.floor / k) * np.exp(np.linspace(0.0, 20.0, 2001))
+            margin = _margin(*_generic_terms(n, n % 2, x, k * x * x, s, True))
+            slopes = np.diff(margin) / np.diff(x)
+            assert (np.diff(slopes) > 0.0).all(), (n, gap)
+
+
 def test_threshold_degree_below_two():
     for degree in (0, 1, -3):
         with pytest.raises(ValueError, match="degree must be at least 2"):
@@ -724,19 +759,10 @@ def test_threshold_gap_out_of_range(degree):
             loglog_disc_threshold(degree, target_gap=gap)
 
 
-def in_band(T):
-    x = np.sqrt(T / 3.75) / math.exp(12.5)
-    return (1.0 <= x) & (x <= 1.9)
-
-
-# pass rules on arrays of T = 3.75 x^2 (degree 2, gap 1/4) that reach each
-# failure of the threshold search: no pass up to x = e^41, a pass down to
-# x = e^1, and a pass band x in [e^12.5, 1.9 e^12.5], which of the scan
-# beyond the root only its last point, twice the root, leaves
+# a pass rule on arrays of T that reaches the one failure of the threshold
+# search: no pass on the whole grid, up to log log disc = 39
 THRESHOLD_FAILURES = {
     "did not bracket a root": lambda T: np.zeros(np.shape(T), dtype=bool),
-    "passes at every probed size": lambda T: np.ones(np.shape(T), dtype=bool),
-    "not monotone beyond the threshold": in_band,
 }
 
 
@@ -747,7 +773,7 @@ def test_threshold_no_bound_paths(monkeypatch, message):
     def ruled(degree, r1, log_disc, T, s, floor_mode):
         return np.where(rule(T), 1.0, -1.0), ()
 
-    # a floor of 0 makes every probed size valid, so the rule alone decides
+    # a floor of 0 makes every grid point valid, so the rule alone decides
     monkeypatch.setattr(criteria_engine, "_generic_floor", lambda degree, c, floor_mode: 0.0)
     monkeypatch.setattr(criteria_engine, "_generic_terms", ruled)
     with pytest.raises(NoBoundCertifiedError, match=message):
@@ -787,7 +813,8 @@ def test_coefficient_of_S_guards():
     for target in (0.0, -1.0):
         with pytest.raises(ValueError):
             coefficient_of_S(4, 1.1, target)
-    for c in (0.99, math.nan):
+    # c = inf would give inf - inf, a NaN slope
+    for c in (0.99, math.nan, math.inf):
         with pytest.raises(ValueError, match="c >= 1"):
             coefficient_of_S(4, c, 3.9)
     for degree in (0, 1):

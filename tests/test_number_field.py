@@ -64,9 +64,27 @@ def test_monic_and_degree_guards():
         NumberField([1, 0, 2])
     with pytest.raises(UnsupportedRepresentationError):
         NumberField([3, 1])  # degree 1
+    # int() would truncate 0.9 and 1.5 and read "7", giving another field
+    for coeffs in ([1, 0.9, 1], [1.5, 0, 1], ["7", 0, 1]):
+        with pytest.raises(UnsupportedRepresentationError, match="not an integer"):
+            NumberField(coeffs)
+    K = NumberField(np.array([1, 0, 1], dtype=np.int64))
+    assert K.coeffs == (1, 0, 1) and all(type(c) is int for c in K.coeffs)
+    assert K.field_disc == -4
 
 
 def test_irreducibility_certificates():
+    # a quadratic is decided by whether b^2 - 4c is a square, not by trying
+    # the divisors of c
+    K = NumberField([-(10**400 + 1), 0, 1])
+    assert K.irreducibility_certificate == "no rational root"
+    assert not K.has_field_disc
+    with pytest.raises(IrreducibilityError, match=f"integer root {10**200}$"):
+        NumberField([-(10**400), 0, 1])
+    with pytest.raises(IrreducibilityError, match="integer root -2$"):
+        NumberField([6, 5, 1])  # (x + 2)(x + 3)
+    with pytest.raises(IrreducibilityError, match="integer root 0$"):
+        NumberField([0, 3, 1])
     # degree <= 3 with no integer root needs no modular certificate
     assert NumberField([-1, -1, 0, 1]).irreducibility_certificate == "no rational root"
     # a quartic with no integer root is settled by the search for two monic

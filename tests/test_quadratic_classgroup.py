@@ -598,6 +598,12 @@ def test_generated_by_primes():
     assert generated_by_primes_up_to(-47, 2) == (True, 5)
     ok, order = generated_by_primes_up_to(-163, 1)
     assert ok and order == 1  # class number one needs no generators
+    # +inf takes every prime and -inf none; p > nan is never true, so a NaN
+    # bound would claim the whole group (h = 27 here) and is refused
+    assert generated_by_primes_up_to(-3299, math.inf) == (True, 27)
+    assert generated_by_primes_up_to(-3299, -math.inf) == (False, 1)
+    with pytest.raises(ValueError, match="NaN"):
+        generated_by_primes_up_to(-3299, math.nan)
 
 
 def test_generated_subgroup_order_divides_h():
