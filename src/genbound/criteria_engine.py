@@ -16,14 +16,15 @@ The exact and generic criteria are each written once, in numpy, as a
 function of floats or of numpy arrays (_exact_terms, _generic_terms).
 minimal_T_exact evaluates a block of the (T, c) grid in one numpy
 broadcast; both crossings of the generic criterion, minimal_T_generic's
-least T at each scale and loglog_disc_threshold's least log log disc, are
-found by one bracket round (_bracket_round) that decides 17 points in one
-call. Two lemmas, each in its solver's docstring, make the rounds find the
-right crossing: the generic margin increases in T at a fixed c
-(minimal_T_generic), and the floor-mode margin at T = (4 - gap) log^2 disc
-is strictly convex in log disc (loglog_disc_threshold). A margin is the lhs
-less each term in order (_margin), at one point (TestEvaluation.margin) as
-on an array; margin > 0 decides every point.
+least T that some scale passes and loglog_disc_threshold's least log log
+disc, are found by rounds of one bracket search (_bracket_round), each
+deciding a column of 17 points in one call. Two lemmas, each in its
+solver's docstring, make the rounds find the right crossing: the generic
+margin increases in T at a fixed c (minimal_T_generic), and the floor-mode
+margin at T = (4 - gap) log^2 disc is strictly convex in log disc
+(loglog_disc_threshold). A margin is the lhs less each term in order
+(_margin), at one point (TestEvaluation.margin) as on an array; margin > 0
+decides every point.
 
 The premise that makes a scalar evaluation and the array element at the
 same (T, c) one float: numpy computes each element of a ufunc the same way
@@ -52,6 +53,7 @@ patch.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,6 +97,22 @@ _THRESHOLD_TOL = 1e-5
 _TWO_PI = 2.0 * math.pi
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int; a Python or numpy integer, nothing else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+def _degree(degree) -> int:
+    """A degree as a Python int, at least 2."""
+    degree = _integer(degree, "degree")
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
+    return degree
+
+
 def _delta2(degree: int) -> int:
     """The indicator delta2 of the degree-2 short prime-power bound: 1 for degree 2, else 0."""
     return 1 if degree == 2 else 0
@@ -109,8 +127,8 @@ class FieldShape:
     log_disc: float
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("degree must be at least 2")
+        object.__setattr__(self, "degree", _degree(self.degree))
+        object.__setattr__(self, "r1", _integer(self.r1, "r1"))
         if not 0 <= self.r1 <= self.degree or (self.degree - self.r1) % 2:
             raise ValueError("r1 must match the degree in parity and range")
         if not 0 < self.log_disc <= _MAX_LOG_DISC:
@@ -329,8 +347,7 @@ def eval_generic(shape: FieldShape, cfg: TestConfig, floor_mode: bool = False) -
 def coefficient_of_S(degree: int, c: float, alpha_target: float) -> float:
     """Net slope of S = sqrt(cT) after moving the discriminant term across,
     assuming T = alpha_target log^2 disc: [den(c)/sqrt(c) - 2/sqrt(alpha_target)]/sqrt(c)."""
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
+    degree = _degree(degree)
     if not alpha_target > 0:
         raise ValueError("alpha_target must be positive")
     if not 1.0 <= c < math.inf:
@@ -364,8 +381,7 @@ def specialized_constants(degree: int) -> SpecializedConstants:
     Degrees 2 and 3 carry the published roundings; higher degrees round
     the same way (slope down, log^2 coefficient up, five decimals).
     """
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
+    degree = _degree(degree)
     c = 1.0 + 1.0 / (4.0 * degree)
     target = 4.0 - 1.0 / (3.0 * degree)
     if degree == 2:
@@ -417,49 +433,40 @@ def _margin(lhs, terms):
     return lhs
 
 
-# a scale's search stops at a relative width of _WIDTH; each round cuts
-# every open bracket into _PARTS equal parts, at most _MAX_ROUNDS rounds
+# the search stops at a relative width of _WIDTH; each round cuts the
+# bracket into _PARTS equal parts, at most _MAX_ROUNDS rounds
 # (_PARTS ** _MAX_ROUNDS = 2^80 parts of the first bracket)
 _WIDTH = 1e-9
 _PARTS = 16
 _MAX_ROUNDS = 20
 
 
-def _bracket_round(lo, hi, passes):
-    """One round of the bracket search on every column of the arrays lo, hi.
+def _bracket_round(lo: float, hi: float, passes):
+    """One round of the bracket search on [lo, hi].
 
-    passes decides the 17 points np.linspace(lo, hi, _PARTS + 1), ends
-    included, in one call. Returns the part of each column that ends at its
-    first passing point ([lo, lo] if lo passes or none does) and whether lo
-    and hi pass; where lo fails and hi passes, so do the new ends.
+    passes maps the 17 points np.linspace(lo, hi, _PARTS + 1), ends
+    included, as one column, to a row of flags per point in one call; a
+    point passes when any flag in its row is set. Returns the part that ends
+    at the first passing point, [lo, lo] if lo passes or none does, and the
+    flags at its upper end.
     """
-    points = np.linspace(lo, hi, _PARTS + 1)
-    passed = passes(points)
-    first = passed.argmax(axis=0)
-    cols = np.arange(points.shape[1])
-    return points[np.maximum(first - 1, 0), cols], points[first, cols], passed[0], passed[-1]
-
-
-# the solver's path line of a scale, by how its search ended; each is
-# formatted with (c, floor, cap, least T)
-_FLOOR_ABOVE_CAP, _AT_FLOOR, _NO_PASS, _BRACKET = range(4)
-_PATH_FORMATS = (
-    "c={0:.6f}: floor {1:.6g} above cap {2:.6g}",
-    "c={0:.6f}: passes at the floor T={3:.6g}",
-    "c={0:.6f}: no pass up to T={2:.6g}",
-    "c={0:.6f}: bracket search, least T={3:.6g}",
-)
+    points = np.linspace(lo, hi, _PARTS + 1)[:, None]
+    flags = passes(points)
+    first = int(flags.any(axis=1).argmax())
+    return float(points[max(first - 1, 0), 0]), float(points[first, 0]), flags[first]
 
 
 def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundReport:
     """Least certifiable norm bound under the generic test, over a c-grid.
 
-    For each scale c of _candidate_scales, the least passing T in
-    [floor(c), 4 log^2 disc] is the floor if it passes, none if the cap
-    fails, else the upper end of a bracket [lo, hi], lo failing and hi
-    passing, narrowed to a relative width of _WIDTH = 1e-9. The smallest T
-    wins, ties going to the smaller c. The reported T passes eval_generic
-    and lies within 1e-9 relative of the crossing.
+    The bound is the least T in [floor(c), 4 log^2 disc] that passes at
+    some scale c of _candidate_scales, with the smallest c that passes
+    there. One bracket search from the least floor to the cap finds it; a
+    point passes where some scale is valid and has margin > 0. It stops at
+    a pass at the least floor, at a bracket [lo, hi], lo failing and hi
+    passing, narrower than _WIDTH = 1e-9 relative, or after _MAX_ROUNDS =
+    20 rounds, and reports hi, which passes eval_generic and lies within
+    1e-9 relative of the crossing.
 
     Lemma: the bracket holds the least passing T, the single crossing.
     At a fixed c write u = sqrt(T), L = log(cT), M1 = 2n(c - 1 - log c) and
@@ -473,58 +480,48 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     need only hold at the validity floor. There it holds with a factor of at
     least 1.73 for every degree 2..199, candidate scale and floor mode (the
     least at n = 4, c = 1.25; test_generic_margin_increases_from_the_floor).
-
-    A solve opens every scale of its table (_Scales) valid below the cap on
-    [floor, cap] and searches them in lockstep, one _bracket_round a round.
-    The first round's ends are the floor and cap tests: a scale passing at
-    its floor reports the floor, one failing at its cap has no pass; later
-    rounds re-decide their known ends. A scale leaves once its bracket is
-    narrow; after _MAX_ROUNDS = 20 rounds the others report their passing
-    hi. Each margin is eval_generic's float there (the module docstring's
-    premise); eval_generic re-checks the winner, whose evaluation is reported.
+    So each scale's passes form an up-set of [floor(c), cap], a T below
+    floor(c) failing there, and their union over c is an up-set of
+    [least floor, cap] whose least point is the minimum over c. A scale
+    that fails at a round's passing upper end passes only above it, so each
+    round keeps only the scales that pass there; the smallest is reported.
+    Each margin is eval_generic's float (the module docstring's premise),
+    and eval_generic re-checks the answer, whose evaluation is reported.
 
     Raises NoBoundCertifiedError when no admissible (T, c) with
     T <= 4 log^2 disc passes, and ArithmeticInvariantError when eval_generic
-    fails at the winner, as the scalar and the array then disagree.
+    fails at the answer, as the scalar and the array then disagree.
     """
     n, r1, x = shape.degree, shape.r1, shape.log_disc
     t_cap = 4.0 * x ** 2
     table = _scales(n, np.array(_candidate_scales(n)), floor_mode)
-    best = np.full(table.c.size, np.inf)
-    how = np.full(table.c.size, _FLOOR_ABOVE_CAP)
+    s = table.take(table.floor <= t_cap)
 
-    rows = np.flatnonzero(table.floor <= t_cap)
-    how[rows] = _BRACKET
-    s = table.take(rows)
-    lo, hi = s.floor, np.full(rows.size, t_cap)
+    def passes(T):
+        """Whether each kept scale is valid and passes, at a column of T."""
+        return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(n, r1, x, T, s, floor_mode)) > 0.0)
+
+    # with no scale valid below the cap, lo = hi = cap and the round sees no pass
+    lo, hi = float(s.floor.min(initial=t_cap)), t_cap
+    path = []
     for _ in range(_MAX_ROUNDS):
-        if not rows.size:
+        lo, hi, flags = _bracket_round(lo, hi, passes)
+        if not flags.any():
+            raise NoBoundCertifiedError(f"no bound below 4 log^2 disc certified for degree {n}, "
+                                        f"log disc {x:g}")
+        path.append(f"T in [{lo:.12g}, {hi:.12g}]: {flags.sum()} of {flags.size} scales pass at hi")
+        s = s.take(flags)
+        if hi - lo <= _WIDTH * max(1.0, hi):
             break
-        lo, hi, at_lo, at_hi = _bracket_round(
-            lo, hi, lambda T: _margin(*_generic_terms(n, r1, x, T, s, floor_mode)) > 0.0)
-        wide = ~at_lo & at_hi & (hi - lo > _WIDTH * np.maximum(1.0, hi))
-        if not wide.all():
-            how[rows] = np.where(at_lo, _AT_FLOOR, np.where(at_hi, _BRACKET, _NO_PASS))
-            best[rows] = np.where(at_lo | at_hi, hi, np.inf)
-            rows, s, lo, hi = rows[wide], s.take(wide), lo[wide], hi[wide]
-    best[rows] = hi
 
-    k = int(np.argmin(best))
-    if best[k] == np.inf:
-        raise NoBoundCertifiedError(f"no bound below 4 log^2 disc certified for degree {n}, "
-                                    f"log disc {x:g}")
-    t, c = float(best[k]), float(table.c[k])
-    ev = eval_generic(shape, TestConfig(t, c), floor_mode)
+    c = float(s.c[0])
+    ev = eval_generic(shape, TestConfig(hi, c), floor_mode)
     if not ev.passed:
         raise ArithmeticInvariantError(
-            f"least T={t:g} at c={c:g} passes on the array but fails in eval_generic"
+            f"least T={hi:g} at c={c:g} passes on the array but fails in eval_generic"
         )
     subject = f"degree {n}, r1 {r1}, log disc {x:g}"
-    path = tuple(
-        _PATH_FORMATS[h].format(ck, lo, t_cap, tk)
-        for h, ck, lo, tk in zip(how.tolist(), table.c.tolist(), table.floor.tolist(), best.tolist())
-    )
-    return BoundReport(ev.criterion_id, subject, t, c, ev, path)
+    return BoundReport(ev.criterion_id, subject, hi, c, ev, tuple(path))
 
 
 # window scales tried by the exact solver, ascending: 1 (empty window) plus
@@ -649,8 +646,7 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float
     holds no grid point, narrower than 0.05 in log log disc and between two
     passing points, is left to an interval-arithmetic check (ROADMAP item 1).
     """
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
+    degree = _degree(degree)
     if target_gap is None:
         target_gap = 1.0 / (2.0 * degree)
     if not 0.0 < target_gap <= 1.0 / (2.0 * degree):
@@ -670,12 +666,12 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float
     j = int(np.flatnonzero(~passes(grid))[-1])
     if j == grid.size - 1:
         raise NoBoundCertifiedError("threshold search did not bracket a root")
-    lo, hi = grid[j:j + 1], grid[j + 1:j + 2]
-    while hi[0] - lo[0] > _THRESHOLD_TOL:
-        lo, hi, _, _ = _bracket_round(lo, hi, passes)
-    x_star = float(np.exp(hi[0]))
+    lo, hi = float(grid[j]), float(grid[j + 1])
+    while hi - lo > _THRESHOLD_TOL:
+        lo, hi, _ = _bracket_round(lo, hi, passes)
+    x_star = float(np.exp(hi))
     shape = FieldShape(degree, r1, x_star)
     if not eval_generic(shape, TestConfig(coeff * x_star * x_star, c), floor_mode=True).passed:
-        raise ArithmeticInvariantError(f"threshold log log disc {hi[0]:g} passes on the array "
+        raise ArithmeticInvariantError(f"threshold log log disc {hi:g} passes on the array "
                                        "but fails in eval_generic")
-    return float(hi[0])
+    return hi

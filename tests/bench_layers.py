@@ -18,16 +18,17 @@ stream built in the solve, the exact grid's block table already filled);
 one build of block 3 of that table, T in [100, 212); factorize(-100 003),
 as the field's discriminant certificate and the fundamental-discriminant
 test run it; one generic array evaluation over the 65 candidate scales,
-one round of the generic solver's search (the margins at the 17 points
-that cut each scale's bracket into 16 parts, ends included, decided by
-margin > 0), minimal_T_generic for one shape per degree 2..10, one scalar
-eval_generic, and loglog_disc_threshold(2), whose answer tops a fail band,
-and (9), whose answer lies at the floor-mode guard T >= 1000, each one
-grid call plus bracket rounds; class_group built afresh at d = -999 983, at
-d = -17 927 (h = 140, 2 and 3 split) and at d = 999 993 (h = 1, narrow
-class number 2, so each cycle is joined with its negated partner), one
-composition of two representatives of d = -17 927, and
-generated_by_primes_up_to on its cached group.
+the first round of the generic solver's search (a column of 17 T that cut
+[least floor, cap] into 16 parts, ends included, against the 65 scales,
+each point passing where some scale's margin > 0, and the scales that pass
+at the first passing point kept), minimal_T_generic for one shape per
+degree 2..10, one scalar eval_generic, and loglog_disc_threshold(2), whose
+answer tops a fail band, and (9), whose answer lies at the floor-mode
+guard T >= 1000, each one grid call plus bracket rounds; class_group built
+afresh at d = -999 983, at d = -17 927 (h = 140, 2 and 3 split) and at
+d = 999 993 (h = 1, narrow class number 2, so each cycle is joined with
+its negated partner), one composition of two representatives of
+d = -17 927, and generated_by_primes_up_to on its cached group.
 """
 
 import math
@@ -39,9 +40,9 @@ pytest.importorskip("pytest_benchmark")
 
 from genbound.arith import factorize  # noqa: E402
 from genbound.criteria_engine import (  # noqa: E402
-    _PARTS,
     FieldShape,
     TestConfig,
+    _bracket_round,
     _candidate_scales,
     _exact_block,
     _generic_terms,
@@ -124,9 +125,16 @@ def test_generic_search_round(benchmark):
     shape = FieldShape(6, 0, 1000.0)
     t_cap = 4.0 * shape.log_disc ** 2
     s = _scales(6, np.array(_candidate_scales(6)), False)
-    points = np.linspace(s.floor, t_cap, _PARTS + 1)
-    passed = benchmark(lambda: _margin(*_generic_terms(6, 0, shape.log_disc, points, s, False)) > 0.0)
-    assert passed.shape == (_PARTS + 1, 65)
+
+    def passes(T):
+        return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(6, 0, shape.log_disc, T, s, False)) > 0.0)
+
+    def first_round():
+        _, _, flags = _bracket_round(float(s.floor.min()), t_cap, passes)
+        return s.take(flags)
+
+    # the scales that pass at the upper end of the first round's bracket
+    assert benchmark(first_round).c.size == 49
 
 
 @pytest.mark.parametrize("degree", range(2, 11))

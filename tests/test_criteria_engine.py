@@ -6,8 +6,9 @@ that ideal_stream enumerates prime by prime; the solver evaluates whole
 blocks of the grid from prefix sums. Both must pick the same (T, c), and
 the prefix sums must match the fsum values on random windows. The generic
 reference bisects each scale c on its own with one eval_generic call per
-point; the solver searches all scales in lockstep on numpy arrays. Both
-bracket the same crossing to a relative width of 1e-9, so they must pick
+point; the solver searches once for the least T that some scale passes,
+deciding each round's points against every scale still in the running on
+numpy arrays. Both bracket the same crossing to a relative width of 1e-9, so they must pick
 the same c and T within 1e-9 relative, and the solver must report
 eval_generic's evaluation at its (T, c). Where the generic criterion,
 which bounds the field sums by majorants, passes, the exact one must pass
@@ -229,7 +230,7 @@ def test_array_queries_match_scalar_queries():
 
 
 # ----------------------------------------------------------------------
-# generic criterion and its lockstep solver
+# generic criterion and its bracket-search solver
 # ----------------------------------------------------------------------
 def reference_minimal_T_generic(shape, floor_mode):
     """(T, c) of the scalar search, one eval_generic call per probed point.
@@ -357,10 +358,10 @@ def test_generic_solver_anchors():
     # within 1e-9 relative of the anchors of the plain bisection,
     # 3093.9314443198123 and 2824.170784304088
     report = minimal_T_generic(FieldShape(2, 0, 30.0))
-    assert (report.T_bound, report.c_used) == (3093.931444319812, 1.03125)
+    assert (report.T_bound, report.c_used) == (3093.931443999242, 1.03125)
     assert report.criterion_id == "generic" and report.evaluation.passed
     t = minimal_T_generic(FieldShape(2, 2, 30.0)).T_bound
-    assert t == 2824.170784304088
+    assert t == 2824.170783993322
     for got, bisected in ((report.T_bound, 3093.9314443198123), (t, 2824.170784304088)):
         assert abs(got - bisected) <= GENERIC_T_REL_TOL * bisected
 
@@ -377,9 +378,10 @@ def test_generic_solver_first_pass_on_non_monotone_flags(monkeypatch):
     # so some scale's flags pass below a failure. That breaks the lemma's
     # premise, alpha and beta nondecreasing, on which alone the least-ness
     # of the reported T rests (to be certified in interval arithmetic,
-    # ROADMAP item 1). The search then keeps the part ending at a scale's
-    # first pass, so the bound lies inside the band, below the 2824.17 of
-    # the unbumped alpha (test_generic_solver_anchors), and still passes
+    # ROADMAP item 1). The search then keeps the part ending at the first
+    # point some scale passes, so the bound lies inside the band, below the
+    # 2824.17 of the unbumped alpha (test_generic_solver_anchors), and still
+    # passes
     def bumped(y):
         return alpha(y) + 100.0 * ((1750.0 < y) & (y < 1780.0))
 
@@ -393,35 +395,68 @@ def test_generic_solver_first_pass_on_non_monotone_flags(monkeypatch):
 
 
 def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
-    # the cap lies 1e-8 above the floor 73.2, so a bracket is narrow after
-    # one round; alpha drops below y0, so one scale fails at the floor and
-    # passes at the cap, the larger scales pass at the floor and the smaller
-    # ones nowhere
+    # the cap lies 1e-8 above the floor 73.2, so the bracket is narrow after
+    # one round; alpha drops below y0, so scale i fails at the floor and
+    # passes 0.4e-8 above it, the larger scales pass at the floor and the
+    # smaller ones nowhere. For i = 32 the search ends at a pass at the
+    # floor, with the least of the 32 larger scales; for the largest scale,
+    # i = 64, it ends on the bracket of that scale's crossing
     shape = FieldShape(3, 3, math.sqrt(73.2 * (1.0 + 1e-8) / 4.0))
-    c = _candidate_scales(3)[32]
-    y0 = c * 73.2 * (1.0 + 5e-9)
-
-    def dropped(y):
-        return alpha(y) - 100.0 * (y <= y0)
-
-    rows = []
+    scales = _candidate_scales(3)
+    generic_terms = criteria_engine._generic_terms
 
     def terms(degree, r1, log_disc, T, s, floor_mode):
         if isinstance(s.c, np.ndarray):
             rows.append(np.shape(T)[0])
         return generic_terms(degree, r1, log_disc, T, s, floor_mode)
 
-    generic_terms = criteria_engine._generic_terms
-    monkeypatch.setattr(criteria_engine, "alpha", dropped)
     monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
-    report = minimal_T_generic(shape)
-    assert sum("bracket search" in step for step in report.solver_path) == 1
-    assert f"c={c:.6f}: bracket search" in "".join(report.solver_path)
-    # one round of 17 points decides every scale: its ends are the floor
-    # and cap tests, and a 16th of the one bracket, 1e-8 relative wide, is
-    # narrow
-    assert rows == [17]
-    assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
+    for i, want_c, path in (
+        (32, scales[33], "T in [73.2, 73.2]: 32 of 65 scales pass at hi"),
+        (64, scales[64], "T in [73.2000002745, 73.2000003202]: 1 of 65 scales pass at hi"),
+    ):
+        y0 = scales[i] * 73.2 * (1.0 + 4e-9)
+        monkeypatch.setattr(criteria_engine, "alpha", lambda y: alpha(y) - 100.0 * (y <= y0))
+        rows = []
+        report = minimal_T_generic(shape)
+        assert report.c_used == want_c and report.solver_path == (path,)
+        # one round of 17 points decides the search: a 16th of the one
+        # bracket, 1e-8 relative wide, is narrow
+        assert rows == [17]
+        assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
+
+
+def test_generic_solver_keeps_the_scales_passing_at_the_upper_end(monkeypatch):
+    # the first round decides every scale valid below the cap; each later
+    # one only the scales that passed at its upper end, the last point of
+    # its column, which a scale failing there can no longer win
+    calls = []
+
+    def terms(degree, r1, log_disc, T, s, floor_mode):
+        if isinstance(s.c, np.ndarray):
+            calls.append((float(T[-1, 0]), s.c.tolist()))
+        return generic_terms(degree, r1, log_disc, T, s, floor_mode)
+
+    generic_terms = criteria_engine._generic_terms
+    monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
+    # degree 2 outside floor mode, where the floors max(73.2, 81/c) differ:
+    # the cap 4 * 4.4^2 = 77.44 lies below those of the 9 smallest scales,
+    # and there the search passes at the least floor in its first round.
+    # rounds, and the scales the last of them decides
+    for shape, floor_mode, rounds, last in ((FieldShape(2, 0, 30.0), False, 8, 1),
+                                            (FieldShape(6, 0, 1000.0), False, 8, 1),
+                                            (FieldShape(5, 1, 200.0), True, 8, 1),
+                                            (FieldShape(2, 2, 4.4), False, 1, 56)):
+        calls.clear()
+        t_cap = 4.0 * shape.log_disc ** 2
+        minimal_T_generic(shape, floor_mode)
+        valid = [c for c in _candidate_scales(shape.degree)
+                 if _generic_floor(shape.degree, c, floor_mode) <= t_cap]
+        assert calls[0] == (t_cap, valid), shape
+        for (_, before), (hi, after) in zip(calls, calls[1:]):
+            assert after == [c for c in before
+                             if eval_generic(shape, TestConfig(hi, c), floor_mode).passed], shape
+        assert (len(calls), len(calls[-1][1])) == (rounds, last), shape
 
 
 def test_generic_solver_evaluations_per_solve(monkeypatch):
@@ -471,10 +506,17 @@ def test_shape_and_config_preconditions():
         (2, 0, 0.0, "log_disc"), (2, 0, -1.0, "log_disc"), (2, 0, math.nan, "log_disc"),
         # 8 log_disc^2 must be a finite float
         (3, 1, math.inf, "log_disc"), (3, 1, 1e300, "log_disc"), (3, 1, 6e153, "log_disc"),
+        # degree and r1 are integers, not floats or strings
+        (2.5, 0.5, 10.0, "degree must be an integer"), (3.0, 1, 10.0, "degree must be an integer"),
+        ("3", 1, 10.0, "degree must be an integer"), (2, 0.0, 10.0, "r1 must be an integer"),
+        (3, "1", 10.0, "r1 must be an integer"),
     )
     for degree, r1, x, match in bad_shapes:
         with pytest.raises(ValueError, match=match):
             FieldShape(degree, r1, x)
+    # numpy integers are kept as Python ints
+    shape = FieldShape(np.int64(3), np.int32(1), 10.0)
+    assert shape == FieldShape(3, 1, 10.0) and type(shape.degree) is type(shape.r1) is int
     # the largest log_disc accepted, and one well inside, solve with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -747,9 +789,15 @@ def test_threshold_margin_convex_from_the_guard():
 
 
 def test_threshold_degree_below_two():
-    for degree in (0, 1, -3):
-        with pytest.raises(ValueError, match="degree must be at least 2"):
-            loglog_disc_threshold(degree)
+    # and the specialized constants, which take the degree the same way
+    for f in (loglog_disc_threshold, specialized_constants):
+        for degree in (0, 1, -3):
+            with pytest.raises(ValueError, match="degree must be at least 2"):
+                f(degree)
+        for degree in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                f(degree)
+        assert f(np.int64(3)) == f(3)
 
 
 @pytest.mark.parametrize("degree", [2, 5])
@@ -820,6 +868,10 @@ def test_coefficient_of_S_guards():
     for degree in (0, 1):
         with pytest.raises(ValueError, match="degree must be at least 2"):
             coefficient_of_S(degree, 1.1, 3.9)
+    for degree in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            coefficient_of_S(degree, 1.1, 3.9)
+    assert coefficient_of_S(np.int64(4), 1.1, 3.9) == coefficient_of_S(4, 1.1, 3.9)
     # window_denominator(2, 12) = 2 - 24 (1 - log 2) < 0
     with pytest.raises(WindowTooWideError):
         coefficient_of_S(12, 2.0, 3.9)

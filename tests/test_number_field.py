@@ -148,6 +148,10 @@ def test_supplied_discriminant():
         NumberField([-5, 0, 1], disc=10)  # quotient 2 is not a square
     with pytest.raises(ValueError):
         NumberField([5, 0, 1], disc=-5)  # contradicts the certified -20
+    with pytest.raises(ValueError, match="must divide the polynomial discriminant"):
+        NumberField([-5, 0, 1], disc=3)  # 3 does not divide 20
+    with pytest.raises(ValueError, match="0 or 1 mod 4"):
+        NumberField([-18, 0, 1], disc=18)  # 72 / 18 = 2^2, but 18 = 2 mod 4
 
 
 @pytest.mark.parametrize("coeffs, disc", [

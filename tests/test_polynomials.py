@@ -51,6 +51,8 @@ def test_discriminant_guards():
         discriminant([1, 0, 2])  # not monic
     with pytest.raises(ValueError):
         discriminant([5])
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        discriminant([1])
 
 
 def test_resultant_as_norm():
@@ -78,6 +80,8 @@ def test_sturm_counts():
     assert sturm_real_roots([1, 0, 0, 0, 1]) == 0
     assert sturm_real_roots([1, 0, -10, 0, 1]) == 4  # (x^2-5)^2 - 24, all real
     assert sturm_real_roots([-2, 1]) == 1
+    with pytest.raises(ValueError, match="not squarefree"):
+        sturm_real_roots([0, 0, 1])  # x^2
 
 
 def test_signature():
@@ -100,6 +104,8 @@ def test_gf_divmod_roundtrip():
     back = poly_mul(q, b)
     total = [(x + y) % p for x, y in zip(back + [0] * 5, r + [0] * 9)][: len(a)]
     assert total == [c % p for c in a]
+    with pytest.raises(ZeroDivisionError):
+        gf_divmod([1, 1], [], 5)
 
 
 def test_gf_gcd_and_powmod():
@@ -178,6 +184,8 @@ def test_dedekind_certification():
     # classical index-2 failures
     assert not dedekind_index_certified([3, 0, 1], 2)
     assert not dedekind_index_certified([-5, 0, 1], 2)
+    with pytest.raises(ValueError, match="monic"):
+        dedekind_index_certified([1, 2], 3)
 
 
 def test_poly_eval():
