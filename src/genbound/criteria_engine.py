@@ -15,16 +15,22 @@ floor max(73.2, 81 delta2/c) (_generic_floor) serve the specialized test too.
 The exact and generic criteria are each written once, in numpy, as a
 function of floats or of numpy arrays (_exact_terms, _generic_terms).
 minimal_T_exact evaluates a block of the (T, c) grid in one numpy
-broadcast; both crossings of the generic criterion, minimal_T_generic's
+broadcast. Each crossing of the generic criterion, minimal_T_generic's
 least T that some scale passes and loglog_disc_threshold's least log log
-disc, are found by rounds of one bracket search (_bracket_round), each
-deciding a column of 17 points in one call. Two lemmas, each in its
-solver's docstring, make the rounds find the right crossing: the generic
-margin increases in T at a fixed c (minimal_T_generic), and the floor-mode
-margin at T = (4 - gap) log^2 disc is strictly convex in log disc
-(loglog_disc_threshold). A margin is the lhs less each term in order
+disc, is the least passing point of a fixed lattice of candidates, found
+by one bracket search over the lattice's integer indices (_bracket_round).
+A round decides at most 17 indices in one call: the first cuts its
+bracket into 16 equal parts, each later one into 8, plus 8 indices around
+the secant estimate of the crossing (_secant). Each point's float is the
+same whichever round decides it (the premise below), so the indices a
+round picks change the number of rounds, not the answer. Two lemmas, each
+in its solver's docstring, make the rounds find the right crossing: the
+generic margin increases in T at a fixed c (minimal_T_generic), and the
+floor-mode margin at T = (4 - gap) log^2 disc is strictly convex in log
+disc (loglog_disc_threshold). A margin is the lhs less each term in order
 (_margin), at one point (TestEvaluation.margin) as on an array; margin > 0
-decides every point.
+decides every point. A reported generic bound must, besides, clear a
+bound on the rounding error of its own evaluation (_rounding_bound).
 
 The premise that makes a scalar evaluation and the array element at the
 same (T, c) one float: numpy computes each element of a ufunc the same way
@@ -40,8 +46,9 @@ evaluation.
 What the generic criterion needs of c alone (sqrt(c), the kernel-slack
 term, the majorant coefficients and the validity floor) is taken once per
 scale, in _Scales: one row of floats for eval_generic and
-loglog_disc_threshold, and for each minimal_T_generic solve one scale
-table of arrays over the candidate scales.
+loglog_disc_threshold, and for minimal_T_generic a table of arrays over a
+degree's candidate scales, built once per degree and floor mode and
+read-only (_scale_table).
 
 What the exact criterion needs of (T, c) alone is taken in _ExactPoints,
 and _exact_terms adds the field's part: one point of floats for
@@ -54,6 +61,7 @@ patch.
 
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,8 +99,12 @@ SHORT_POWER_MIN_CT = 81.0
 # every lo + hi the solvers form, so it must be a finite float
 _MAX_LOG_DISC = math.sqrt(sys.float_info.max / 8.0)
 
-# width in log log disc to which loglog_disc_threshold narrows its crossing
-_THRESHOLD_TOL = 1e-5
+# loglog_disc_threshold's lattice: log log disc = 1 + 0.05 (k + m / 65536),
+# its grid k = 0..760, and in each grid step the points that four rounds of
+# 16 parts reach
+_THRESHOLD_GRID = 761
+_THRESHOLD_STEP = 0.05
+_THRESHOLD_DEPTH = 16 ** 4
 
 _TWO_PI = 2.0 * math.pi
 
@@ -433,40 +445,192 @@ def _margin(lhs, terms):
     return lhs
 
 
-# the search stops at a relative width of _WIDTH; each round cuts the
-# bracket into _PARTS equal parts, at most _MAX_ROUNDS rounds
-# (_PARTS ** _MAX_ROUNDS = 2^80 parts of the first bracket)
-_WIDTH = 1e-9
+# The generic answer is a point of a fixed candidate set, _Lattice: the
+# least floor, the floats strictly between it and the cap whose last
+# _LATTICE_SHIFT significand bits are zero, and the cap. Neighbours lie
+# 2^-32 to 2^-31 (at most 4.7e-10) apart, relative
+_LATTICE_SHIFT = 21
+
+# a round decides at most _PARTS + 1 lattice indices in one call. The
+# first cuts its bracket into _PARTS equal parts; each later one cuts it
+# into _PARTS // 2, so that the span shrinks to at most ceil(span / 8), and
+# adds _PARTS // 2 guided indices, _GUIDES times max(1, span >> 14) away
+# from an estimate of the crossing
 _PARTS = 16
+_GUIDES = (1, 4, 16, 64)
+_GUIDE_SHIFT = 14
+
+# a cap on minimal_T_generic's rounds that no search reaches: a lattice
+# holds fewer than 2^41 indices (the finite floats >= 2 have 2^62 bit
+# patterns), the first round leaves a span of at most 2^37 and each later
+# one shrinks it at least 8-fold, so every search ends within 14 rounds
 _MAX_ROUNDS = 20
 
+# a generic margin errs by at most _ROUNDING_K 2^-53 (|lhs| + sum |terms|)
+_ROUNDING_K = 64
 
-def _bracket_round(lo: float, hi: float, passes):
-    """One round of the bracket search on [lo, hi].
 
-    passes maps the 17 points np.linspace(lo, hi, _PARTS + 1), ends
-    included, as one column, to a row of flags per point in one call; a
-    point passes when any flag in its row is set. Returns the part that ends
-    at the first passing point, [lo, lo] if lo passes or none does, and the
-    flags at its upper end.
+_INT, _FLOAT = struct.Struct("<q"), struct.Struct("<d")
+
+
+def _bit_pattern(t: float) -> int:
+    """The bits of the float t, read as an int: for t >= 0 they order as t does."""
+    return _INT.unpack(_FLOAT.pack(t))[0]
+
+
+class _Lattice(NamedTuple):
+    """The candidate T of a generic solve in [lo, hi], by integer index.
+
+    Index k stands for the float whose bits are (j0 + k) << _LATTICE_SHIFT,
+    clipped to [lo, hi]: index 0 is lo, index top is hi. The points are
+    exact, the same on every platform, as no function is evaluated to make
+    them.
     """
-    points = np.linspace(lo, hi, _PARTS + 1)[:, None]
-    flags = passes(points)
-    first = int(flags.any(axis=1).argmax())
-    return float(points[max(first - 1, 0), 0]), float(points[first, 0]), flags[first]
+
+    lo: float
+    hi: float
+    j0: int
+    top: int
+
+    @classmethod
+    def between(cls, lo: float, hi: float) -> "_Lattice":
+        j0 = _bit_pattern(lo) >> _LATTICE_SHIFT
+        return cls(lo, hi, j0, -(-_bit_pattern(hi) >> _LATTICE_SHIFT) - j0)
+
+    def point(self, k):
+        """The candidate T at each index of the integer array k."""
+        t = ((self.j0 + k) << _LATTICE_SHIFT).view(np.float64)
+        return np.minimum(np.maximum(t, self.lo), self.hi)
+
+    def value(self, k: int) -> float:
+        """The candidate T at the index k, as point gives it."""
+        t = _FLOAT.unpack(_INT.pack((self.j0 + k) << _LATTICE_SHIFT))[0]
+        return min(max(t, self.lo), self.hi)
+
+    def position(self, t: float) -> float:
+        """Where the float t in [lo, hi] lies between the indices, as a float:
+        the floats between two neighbours are evenly spaced."""
+        return _bit_pattern(t) / (1 << _LATTICE_SHIFT) - self.j0
+
+
+def _bracket_round(lo: int, hi: int, margins, guess: float | None = None):
+    """One round of the bracket search on the lattice indices [lo, hi].
+
+    Without a guess the round takes the _PARTS + 1 indices that cut
+    [lo, hi] into _PARTS equal parts, ends included. With one, it takes the
+    _PARTS // 2 + 1 indices that cut it into _PARTS // 2 parts, and those
+    of b + 1 - m g and b + m g that lie in [lo, hi], for m in _GUIDES,
+    g = max(1, (hi - lo) >> _GUIDE_SHIFT) and b = floor(guess): the nearest
+    pair are the ends of the step that holds the guess. margins maps the
+    indices, ascending as one column, to a row of margins per index in one
+    call; an index passes where some margin in its row is > 0. Returns the
+    part [lo, hi] that ends at the first passing index ([lo, lo] if lo
+    passes or none does), and the rows of margins at its ends.
+    """
+    span = hi - lo
+    if guess is None:
+        k = [lo + span * i // _PARTS for i in range(_PARTS + 1)]
+    else:
+        g, b = max(1, span >> _GUIDE_SHIFT), math.floor(guess)
+        parts = _PARTS // 2
+        k = sorted([lo + span * i // parts for i in range(parts + 1)]
+                   + [min(max(j, lo), hi) for m in _GUIDES for j in (b + 1 - m * g, b + m * g)])
+    m = margins(np.array(k)[:, None])
+    first = int((m > 0.0).any(axis=1).argmax())
+    below = max(first - 1, 0)
+    return k[below], k[first], m[below], m[first]
+
+
+def _secant(x_lo: float, x_hi: float, m_lo, m_hi) -> float | None:
+    """The least zero, over the columns valid at x_lo, of the chord through
+    (x_lo, m_lo) and (x_hi, m_hi); None where no column is valid there.
+
+    Each column fails at x_lo (m_lo <= 0, or -inf where it is not valid)
+    and passes at x_hi (m_hi > 0), so each zero lies in [x_lo, x_hi]. A
+    column not valid at x_lo crosses where it becomes valid, which its
+    margins do not tell.
+    """
+    zeros = [x_hi - (x_hi - x_lo) * h / (h - l)
+             for l, h in zip(m_lo.tolist(), m_hi.tolist()) if l > -math.inf]
+    return min(zeros, default=None)
+
+
+def _rounding_bound(ev: TestEvaluation) -> float:
+    """K 2^-53 (|lhs| + sum |terms|), K = _ROUNDING_K = 64: a bound on how far
+    the float margin of a generic evaluation lies from the exact margin at
+    the same floats T, c and log disc, for T >= 73.2 and 1 <= c <= 1 + 1/n,
+    as at every candidate of minimal_T_generic.
+
+    Write u = 2^-53 and S = |lhs| + sum |terms|, and count errors in units
+    of u. +, -, *, / and sqrt round correctly (1 each); log and log1p are
+    taken to err by at most 4 ulps, 8 u (numpy's measured within 0.7 ulp), and
+    the float constants 4.72, 4.39, log 2, 2 pi and gamma + log 2 pi carry
+    their own rounding against the exact values.
+    - L = log(cT) >= 4.29 errs by 8 L + 1 <= 9 L, and lhs = c sqrt(T) by
+      2 |lhs|.
+    - discriminant errs by 2, kernel_slack by 3 (as 2 sqrt(c) <=
+      2 (2 sqrt(c) - 1)), window_log by 11 and majorant_log_sq by 23 times
+      |term|.
+    - short_prime_powers errs by 4 |term| + 2.4 |lhs|, as the cancelling
+      29/sqrt(T) is at most 0.4 lhs; majorant_linear by 4 |term| + 16 |lhs|,
+      as log c errs by 8 log c inside c - 1 - log c and n log c <= 1.
+    - alpha(y) errs by 24 |alpha| and beta(y) by 16 |beta| on y = cT >= 73.2:
+      -log y cancels against the rest of the numerator by a factor of at
+      most 2.26 and 1.29, at y = 73.2, falling as y grows. So arch_real errs
+      by 27 and arch_total by 19 times |term| (by 3 and 4 in floor mode).
+    - Each of the eight subtractions of _margin errs by at most S, 8 S in
+      all.
+    Each term errs by at most 27 |term| and the lhs shares add 20.4 |lhs|,
+    so the margin errs by at most 35 S, plus terms of order u^2 S; K = 64
+    covers both.
+    """
+    return _ROUNDING_K * 2.0 ** -53 * (abs(ev.lhs) + sum(abs(v) for _, v in ev.rhs_terms))
+
+
+@lru_cache(maxsize=None)
+def _scale_table(degree: int, floor_mode: bool) -> _Scales:
+    """The _scales of _candidate_scales(degree), built once per degree and
+    floor mode, as that list is, and read-only."""
+    table = _scales(degree, np.array(_candidate_scales(degree)), floor_mode)
+    for v in table:
+        v.flags.writeable = False
+    return table
 
 
 def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundReport:
     """Least certifiable norm bound under the generic test, over a c-grid.
 
-    The bound is the least T in [floor(c), 4 log^2 disc] that passes at
+    The bound is the least point of a fixed candidate set that passes at
     some scale c of _candidate_scales, with the smallest c that passes
-    there. One bracket search from the least floor to the cap finds it; a
-    point passes where some scale is valid and has margin > 0. It stops at
-    a pass at the least floor, at a bracket [lo, hi], lo failing and hi
-    passing, narrower than _WIDTH = 1e-9 relative, or after _MAX_ROUNDS =
-    20 rounds, and reports hi, which passes eval_generic and lies within
-    1e-9 relative of the crossing.
+    there, a point passing where some scale is valid (T >= floor(c) -
+    1e-12) and has margin > 0. The candidates (_Lattice) are the least
+    floor f0 of the scales, the floats strictly between f0 and the cap
+    4 log^2 disc whose last 21 significand bits are zero, and the cap, by
+    index from 0, f0, to top, the cap. Neighbours lie at most 4.7e-10
+    apart, relative, so the bound lies within 4.7e-10 of the crossing.
+
+    One bracket search over the indices finds it, in rounds of
+    _bracket_round. The first decides 17 indices that cut [0, top] into 16
+    equal parts. Each later one decides, in its bracket [lo, hi] (lo
+    failing, hi passing), the 9 indices that cut it into 8 parts, so that
+    the span shrinks at least 8-fold (to at most ceil(span / 8)), and 8
+    indices around the secant estimate of the crossing: the least, over the
+    scales passing at hi and valid at lo, of the zero of the chord in
+    sqrt(T) through their margins at lo and hi (_secant). With no such
+    scale the round cuts its bracket into 16 parts, as the first does. The
+    search ends on one lattice step, at a pass at f0, or with
+    NoBoundCertifiedError when the cap fails. Each point's float is the
+    same whichever round and position decides it (the module docstring's
+    premise), so where the least crossing is the only one the indices a
+    round picks change the number of rounds, not the answer.
+
+    Rounding rule: a bound is reported only where its margin exceeds
+    _rounding_bound, a bound on the rounding error of its own evaluation,
+    at the smallest scale that clears it there. When no scale clears at the
+    least passing point, the answer is the next lattice point, within
+    9.4e-10 of the crossing still; when none clears there either, or the cap
+    was the least passing point, NoBoundCertifiedError. eval_generic
+    evaluates each reported (T, c), and its evaluation is reported.
 
     Lemma: the bracket holds the least passing T, the single crossing.
     At a fixed c write u = sqrt(T), L = log(cT), M1 = 2n(c - 1 - log c) and
@@ -484,44 +648,58 @@ def minimal_T_generic(shape: FieldShape, floor_mode: bool = False) -> BoundRepor
     floor(c) failing there, and their union over c is an up-set of
     [least floor, cap] whose least point is the minimum over c. A scale
     that fails at a round's passing upper end passes only above it, so each
-    round keeps only the scales that pass there; the smallest is reported.
-    Each margin is eval_generic's float (the module docstring's premise),
-    and eval_generic re-checks the answer, whose evaluation is reported.
+    round keeps only the scales that pass there.
 
-    Raises NoBoundCertifiedError when no admissible (T, c) with
-    T <= 4 log^2 disc passes, and ArithmeticInvariantError when eval_generic
-    fails at the answer, as the scalar and the array then disagree.
+    Raises NoBoundCertifiedError when no candidate T <= 4 log^2 disc passes
+    clear of rounding, and ArithmeticInvariantError when eval_generic fails
+    at a (T, c) that passes on the array, as the scalar and the array then
+    disagree.
     """
     n, r1, x = shape.degree, shape.r1, shape.log_disc
     t_cap = 4.0 * x ** 2
-    table = _scales(n, np.array(_candidate_scales(n)), floor_mode)
+    table = _scale_table(n, floor_mode)
     s = table.take(table.floor <= t_cap)
+    # with no scale valid below the cap, every candidate is the cap, and none passes
+    lattice = _Lattice.between(float(s.floor.min(initial=t_cap)), t_cap)
 
-    def passes(T):
-        """Whether each kept scale is valid and passes, at a column of T."""
-        return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(n, r1, x, T, s, floor_mode)) > 0.0)
+    def margins(s, k):
+        """The margins of the scales s at the indices k, -inf where a scale is not valid."""
+        T = lattice.point(k)
+        m = _margin(*_generic_terms(n, r1, x, T, s, floor_mode))
+        return np.where(T >= s.floor - 1e-12, m, -np.inf)
 
-    # with no scale valid below the cap, lo = hi = cap and the round sees no pass
-    lo, hi = float(s.floor.min(initial=t_cap)), t_cap
-    path = []
+    no_bound = f"no bound below 4 log^2 disc certified for degree {n}, log disc {x:g}"
+    lo, hi, guess, path = 0, lattice.top, None, []
     for _ in range(_MAX_ROUNDS):
-        lo, hi, flags = _bracket_round(lo, hi, passes)
-        if not flags.any():
-            raise NoBoundCertifiedError(f"no bound below 4 log^2 disc certified for degree {n}, "
-                                        f"log disc {x:g}")
-        path.append(f"T in [{lo:.12g}, {hi:.12g}]: {flags.sum()} of {flags.size} scales pass at hi")
-        s = s.take(flags)
-        if hi - lo <= _WIDTH * max(1.0, hi):
+        lo, hi, m_lo, m_hi = _bracket_round(lo, hi, lambda k: margins(s, k), guess)
+        keep = m_hi > 0.0
+        kept = np.count_nonzero(keep)
+        if not kept:
+            raise NoBoundCertifiedError(no_bound)
+        t_lo, t_hi = lattice.value(lo), lattice.value(hi)
+        path.append(f"T in [{t_lo:.12g}, {t_hi:.12g}]: {kept} of {keep.size} scales pass at hi")
+        if kept < keep.size:
+            s = s.take(keep)
+        if hi - lo <= 1:
             break
+        u = _secant(math.sqrt(t_lo), math.sqrt(t_hi), m_lo[keep], m_hi[keep])
+        guess = None if u is None else lattice.position(u * u)
 
-    c = float(s.c[0])
-    ev = eval_generic(shape, TestConfig(hi, c), floor_mode)
-    if not ev.passed:
-        raise ArithmeticInvariantError(
-            f"least T={hi:g} at c={c:g} passes on the array but fails in eval_generic"
-        )
     subject = f"degree {n}, r1 {r1}, log disc {x:g}"
-    return BoundReport(ev.criterion_id, subject, hi, c, ev, tuple(path))
+    for k in range(hi, min(hi + 1, lattice.top) + 1):
+        t = lattice.value(k)
+        if k > hi:
+            s = table.take(margins(table, np.array(k)) > 0.0)
+        for c in s.c.tolist():
+            ev = eval_generic(shape, TestConfig(t, c), floor_mode)
+            if not ev.passed:
+                raise ArithmeticInvariantError(
+                    f"T={t:g} at c={c:g} passes on the array but fails in eval_generic"
+                )
+            if ev.margin > _rounding_bound(ev):
+                return BoundReport(ev.criterion_id, subject, t, c, ev, tuple(path))
+        path.append(f"T={t:.12g}: no scale passes clear of rounding")
+    raise NoBoundCertifiedError(no_bound)
 
 
 # window scales tried by the exact solver, ascending: 1 (empty window) plus
@@ -623,10 +801,15 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float
     """log log of the least discriminant size certifying T = (4 - gap) log^2 disc.
 
     Floor mode, c = 1 + 1/(4 degree), worst-case r1 = degree mod 2. A point
-    passes where T is valid and margin > 0. One array call decides the grid
-    log log disc = 1, 1.05, ..., 39; rounds of _bracket_round narrow the
-    step from its last failing point to the pass after it to
-    _THRESHOLD_TOL, and eval_generic re-checks the answer, the upper end.
+    passes where T is valid and margin > 0. The candidates are the lattice
+    log log disc = 1 + 0.05 (k + m / 65536), k = 0..760, m = 0..65535: the
+    grid k, which one array call decides, and in each grid step the points
+    that four rounds of 16 parts reach. Rounds of _bracket_round narrow the
+    step from the grid's last failing point to the pass after it to one
+    lattice step, 7.6e-7, each guided by the secant estimate of the
+    crossing in the lattice index (_secant), or cutting its bracket into 16
+    parts where T is not valid at the lower end; the answer is the upper
+    end, and eval_generic re-checks it.
 
     Lemma: the margin is strictly convex in x = log disc on its valid range
     T >= 1000. Floor mode fixes alpha = 1 and beta = 4.39. Write
@@ -655,23 +838,27 @@ def loglog_disc_threshold(degree: int, target_gap: float | None = None) -> float
     coeff = 4.0 - target_gap
     r1 = degree % 2
     s = _scales(degree, c, True)
+    step = _THRESHOLD_STEP / _THRESHOLD_DEPTH
 
-    def passes(loglog):
-        """Whether T = coeff log^2 disc is valid and passes, at an array of log log disc."""
-        x = np.exp(loglog)
+    def margins(k):
+        """The margins at the lattice indices k, -inf where T is not valid."""
+        x = np.exp(1.0 + step * k)
         T = coeff * x * x
-        return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(degree, r1, x, T, s, True)) > 0.0)
+        m = _margin(*_generic_terms(degree, r1, x, T, s, True))
+        return np.where(T >= s.floor - 1e-12, m, -np.inf)
 
-    grid = 1.0 + 0.05 * np.arange(761.0)
-    j = int(np.flatnonzero(~passes(grid))[-1])
+    grid = _THRESHOLD_DEPTH * np.arange(_THRESHOLD_GRID)[:, None]
+    m = margins(grid)
+    j = int(np.flatnonzero(m <= 0.0)[-1])
     if j == grid.size - 1:
         raise NoBoundCertifiedError("threshold search did not bracket a root")
-    lo, hi = float(grid[j]), float(grid[j + 1])
-    while hi - lo > _THRESHOLD_TOL:
-        lo, hi, _ = _bracket_round(lo, hi, passes)
-    x_star = float(np.exp(hi))
+    lo, hi, m_lo, m_hi = int(grid[j, 0]), int(grid[j + 1, 0]), m[j], m[j + 1]
+    while hi - lo > 1:
+        lo, hi, m_lo, m_hi = _bracket_round(lo, hi, margins, _secant(lo, hi, m_lo, m_hi))
+    loglog = 1.0 + step * hi
+    x_star = float(np.exp(loglog))
     shape = FieldShape(degree, r1, x_star)
     if not eval_generic(shape, TestConfig(coeff * x_star * x_star, c), floor_mode=True).passed:
-        raise ArithmeticInvariantError(f"threshold log log disc {hi:g} passes on the array "
+        raise ArithmeticInvariantError(f"threshold log log disc {loglog:g} passes on the array "
                                        "but fails in eval_generic")
-    return hi
+    return loglog

@@ -252,8 +252,7 @@ class NumberField:
         q = self.disc_defining // disc
         if q <= 0 or math.isqrt(q) ** 2 != q:
             raise ValueError("index squared between discriminants must be a positive square")
-        if (disc < 0) != (self.r2 % 2 == 1):
-            raise ValueError("discriminant sign must be (-1)^r2")
+        # so disc has the sign of disc_defining, which is (-1)^r2
         if disc % 4 not in (0, 1):
             raise ValueError("discriminant must be 0 or 1 mod 4")
         if self.degree == 2 and not is_fundamental_discriminant(disc):

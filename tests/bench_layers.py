@@ -18,19 +18,23 @@ stream built in the solve, the exact grid's block table already filled);
 one build of block 3 of that table, T in [100, 212); factorize(-100 003),
 as the field's discriminant certificate and the fundamental-discriminant
 test run it; one generic array evaluation over the 65 candidate scales,
-the first round of the generic solver's search (a column of 17 T that cut
-[least floor, cap] into 16 parts, ends included, against the 65 scales,
-each point passing where some scale's margin > 0, and the scales that pass
-at the first passing point kept), minimal_T_generic for one shape per
-degree 2..10, one scalar eval_generic, and loglog_disc_threshold(2), whose
-answer tops a fail band, and (9), whose answer lies at the floor-mode
-guard T >= 1000, each one grid call plus bracket rounds; class_group built
+the first round of the generic solver's search (a column of 17 lattice
+indices that cut [least floor, cap] into 16 parts, ends included, against
+the 65 scales, each index passing where some scale's margin > 0, and the
+scales that pass at the first passing index kept), a later guided round
+of that search on the 2 scales, then the 1 scale, still in the running (9
+indices that cut its bracket into 8 parts and 8 around a secant estimate
+of the crossing), minimal_T_generic for one shape per degree 2..10, one
+scalar eval_generic, and loglog_disc_threshold(2), whose answer tops a
+fail band, and (9), whose answer lies at the floor-mode guard T >= 1000,
+each one grid call plus bracket rounds; class_group built
 afresh at d = -999 983, at d = -17 927 (h = 140, 2 and 3 split) and at
 d = 999 993 (h = 1, narrow class number 2, so each cycle is joined with
 its negated partner), one composition of two representatives of
 d = -17 927, and generated_by_primes_up_to on its cached group.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -42,12 +46,14 @@ from genbound.arith import factorize  # noqa: E402
 from genbound.criteria_engine import (  # noqa: E402
     FieldShape,
     TestConfig,
+    _Lattice,
     _bracket_round,
     _candidate_scales,
     _exact_block,
     _generic_terms,
     _margin,
     _scales,
+    _secant,
     eval_exact,
     eval_generic,
     loglog_disc_threshold,
@@ -121,20 +127,48 @@ def test_generic_array_evaluation(benchmark):
     assert margin.shape == (65,)
 
 
+def generic_search(shape):
+    """The _bracket_round calls of minimal_T_generic's search on shape, in
+    order: the arguments of each, and the number of scales it decides."""
+    n, r1, x = shape.degree, shape.r1, shape.log_disc
+    s = _scales(n, np.array(_candidate_scales(n)), False)
+    lattice = _Lattice.between(float(s.floor.min()), 4.0 * x ** 2)
+
+    def margins(s, k):
+        T = lattice.point(k)
+        return np.where(T >= s.floor - 1e-12, _margin(*_generic_terms(n, r1, x, T, s, False)), -np.inf)
+
+    lo, hi, guess, rounds = 0, lattice.top, None, []
+    while hi - lo > 1:
+        args = (lo, hi, functools.partial(margins, s), guess)
+        rounds.append((args, s.c.size))
+        lo, hi, m_lo, m_hi = _bracket_round(*args)
+        keep = m_hi > 0.0
+        s = s.take(keep)
+        t_lo, t_hi = lattice.value(lo), lattice.value(hi)
+        u = _secant(math.sqrt(t_lo), math.sqrt(t_hi), m_lo[keep], m_hi[keep])
+        guess = None if u is None else lattice.position(u * u)
+    return rounds
+
+
+# 4 rounds, deciding 65, 49, 2 and 1 scales, as the solver's
+SEARCH_SHAPE = FieldShape(6, 0, 1000.0)
+
+
 def test_generic_search_round(benchmark):
-    shape = FieldShape(6, 0, 1000.0)
-    t_cap = 4.0 * shape.log_disc ** 2
-    s = _scales(6, np.array(_candidate_scales(6)), False)
-
-    def passes(T):
-        return (T >= s.floor - 1e-12) & (_margin(*_generic_terms(6, 0, shape.log_disc, T, s, False)) > 0.0)
-
-    def first_round():
-        _, _, flags = _bracket_round(float(s.floor.min()), t_cap, passes)
-        return s.take(flags)
-
+    rounds = generic_search(SEARCH_SHAPE)
+    assert len(rounds) == len(minimal_T_generic(SEARCH_SHAPE).solver_path)
+    args, scales = rounds[0]
     # the scales that pass at the upper end of the first round's bracket
-    assert benchmark(first_round).c.size == 49
+    assert scales == 65 and np.count_nonzero(benchmark(_bracket_round, *args)[3] > 0.0) == 49
+
+
+@pytest.mark.parametrize("kept", [2, 1])
+def test_generic_guided_round(benchmark, kept):
+    # the later round that decides `kept` scales
+    (args, _), = [r for r in generic_search(SEARCH_SHAPE)[1:] if r[1] == kept]
+    lo, hi, _, _ = benchmark(_bracket_round, *args)
+    assert args[0] <= lo < hi <= args[1] and args[3] is not None
 
 
 @pytest.mark.parametrize("degree", range(2, 11))

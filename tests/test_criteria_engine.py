@@ -10,7 +10,9 @@ point; the solver searches once for the least T that some scale passes,
 deciding each round's points against every scale still in the running on
 numpy arrays. Both bracket the same crossing to a relative width of 1e-9, so they must pick
 the same c and T within 1e-9 relative, and the solver must report
-eval_generic's evaluation at its (T, c). Where the generic criterion,
+eval_generic's evaluation at its (T, c). A second generic reference
+bisects the solver's own lattice of candidate T, one eval_generic call per
+(T, c): its answer must be the solver's, bit for bit. Where the generic criterion,
 which bounds the field sums by majorants, passes, the exact one must pass
 at the same (T, c). A scalar evaluation and the array element at the
 same (T, c) must be the same float, so that margin > 0 decides each point
@@ -29,10 +31,12 @@ from genbound import criteria_engine
 from genbound.analytic_kernel import alpha, beta
 from genbound.criteria_engine import (
     _EXACT_SCALES,
+    _MAX_ROUNDS,
     _PARTS,
     FieldShape,
     TestConfig,
     TestEvaluation,
+    _Lattice,
     _candidate_scales,
     _exact_block,
     _exact_terms,
@@ -40,6 +44,7 @@ from genbound.criteria_engine import (
     _generic_terms,
     _majorant_coefficients,
     _margin,
+    _rounding_bound,
     _scales,
     coefficient_of_S,
     eval_degree_specialized,
@@ -168,6 +173,16 @@ def test_exact_block_table_is_read_only():
             v[0, 0] = 0
 
 
+def test_generic_scale_table_is_read_only():
+    # every generic solve of a degree and floor mode reads the same cached
+    # arrays, so none may be written
+    table = criteria_engine._scale_table(6, False)
+    assert criteria_engine._scale_table(6, False) is table
+    for v in table:
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0
+
+
 def test_exact_reports_do_not_depend_on_the_block_table():
     # a solve reads the same grid from a fresh table as from a warm one,
     # and from a last block cut at the cap as from the whole block
@@ -270,6 +285,56 @@ def reference_minimal_T_generic(shape, floor_mode):
     return best
 
 
+def lattice_minimal_T_generic(shape, floor_mode):
+    """(T, c) of a plain bisection on minimal_T_generic's lattice indices,
+    one eval_generic call per probed (T, c).
+
+    The lattice runs from the least floor of the scales to the cap, as in
+    the solver, and an index passes where some scale valid there passes.
+    The bisection keeps the lower half on a pass, down to one step; the
+    answer is the smallest scale clear of rounding at the least passing
+    index, or failing that at the next one.
+    """
+    n, t_cap = shape.degree, 4.0 * shape.log_disc ** 2
+    floors = {c: _generic_floor(n, c, floor_mode) for c in _candidate_scales(n)}
+    lattice = _Lattice.between(float(min((f for f in floors.values() if f <= t_cap), default=t_cap)),
+                               t_cap)
+    top = lattice.top
+
+    def point(k):
+        return float(lattice.point(np.array(k)))
+
+    def passing(k):
+        """(c, evaluation) of each scale passing at index k, c ascending."""
+        t = point(k)
+        for c, floor in floors.items():
+            if t >= floor - 1e-12:
+                ev = eval_generic(shape, TestConfig(t, c), floor_mode)
+                if ev.passed:
+                    yield c, ev
+
+    def passes(k):
+        return next(passing(k), None) is not None
+
+    if passes(0):
+        hi = 0
+    elif not passes(top):
+        raise NoBoundCertifiedError("the cap fails")
+    else:
+        lo, hi = 0, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid
+    for k in range(hi, min(hi + 1, top) + 1):
+        for c, ev in passing(k):
+            if ev.margin > _rounding_bound(ev):
+                return point(k), c
+    raise NoBoundCertifiedError("no scale passes clear of rounding")
+
+
 # the solver and the scalar bisection each end at a passing T within a
 # relative 1e-9 above the same crossing
 GENERIC_T_REL_TOL = 1e-9
@@ -319,6 +384,23 @@ def test_generic_solver_matches_scalar_search(degree):
         assert_same_crossing(minimal_T_generic(shape, floor_mode), want, shape, floor_mode)
 
 
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_generic_solver_matches_lattice_bisection(degree):
+    # the solver's guided rounds and a plain bisection decide different
+    # indices of one lattice, each index's float the same in both; so they
+    # must report the same (T, c), bit for bit, clear of rounding
+    for shape, floor_mode in generic_solver_shapes(degree):
+        try:
+            want = lattice_minimal_T_generic(shape, floor_mode)
+        except NoBoundCertifiedError:
+            with pytest.raises(NoBoundCertifiedError):
+                minimal_T_generic(shape, floor_mode)
+            continue
+        report = minimal_T_generic(shape, floor_mode)
+        assert (report.T_bound, report.c_used) == want, (shape, floor_mode)
+        assert report.margin > _rounding_bound(report.evaluation), (shape, floor_mode)
+
+
 def test_generic_margin_increases_from_the_floor():
     # the lemma of minimal_T_generic: at a fixed c the margin increases in
     # u = sqrt(T) wherever (c - M1) u > 2 sqrt(c) + 2 M2 L / pi, with
@@ -358,10 +440,10 @@ def test_generic_solver_anchors():
     # within 1e-9 relative of the anchors of the plain bisection,
     # 3093.9314443198123 and 2824.170784304088
     report = minimal_T_generic(FieldShape(2, 0, 30.0))
-    assert (report.T_bound, report.c_used) == (3093.931443999242, 1.03125)
+    assert (report.T_bound, report.c_used) == (3093.931444168091, 1.03125)
     assert report.criterion_id == "generic" and report.evaluation.passed
     t = minimal_T_generic(FieldShape(2, 2, 30.0)).T_bound
-    assert t == 2824.170783993322
+    assert t == 2824.170783996582
     for got, bisected in ((report.T_bound, 3093.9314443198123), (t, 2824.170784304088)):
         assert abs(got - bisected) <= GENERIC_T_REL_TOL * bisected
 
@@ -381,26 +463,40 @@ def test_generic_solver_first_pass_on_non_monotone_flags(monkeypatch):
     # ROADMAP item 1). The search then keeps the part ending at the first
     # point some scale passes, so the bound lies inside the band, below the
     # 2824.17 of the unbumped alpha (test_generic_solver_anchors), and still
-    # passes
+    # passes. Each round still shrinks its span of lattice indices at least
+    # 8-fold, to at most ceil(span / 8), and the search ends on one lattice
+    # step long before _MAX_ROUNDS
     def bumped(y):
         return alpha(y) + 100.0 * ((1750.0 < y) & (y < 1780.0))
 
+    bracket_round = criteria_engine._bracket_round
+    spans = []
+
+    def recorded(lo, hi, margins, guess=None):
+        out = bracket_round(lo, hi, margins, guess)
+        spans.append((hi - lo, out[1] - out[0]))
+        return out
+
     monkeypatch.setattr(criteria_engine, "alpha", bumped)
+    monkeypatch.setattr(criteria_engine, "_bracket_round", recorded)
     shape = FieldShape(2, 2, 30.0)
     report = minimal_T_generic(shape)
     assert 1750.0 < report.c_used * report.T_bound < 1780.0
     assert report.T_bound < 2824.0
     ev = eval_generic(shape, TestConfig(report.T_bound, report.c_used))
     assert ev.passed and report.evaluation == ev
+    assert all(after <= -(-before // 8) for before, after in spans), spans
+    assert spans[-1][1] == 1 and len(spans) < _MAX_ROUNDS
 
 
 def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
-    # the cap lies 1e-8 above the floor 73.2, so the bracket is narrow after
-    # one round; alpha drops below y0, so scale i fails at the floor and
-    # passes 0.4e-8 above it, the larger scales pass at the floor and the
-    # smaller ones nowhere. For i = 32 the search ends at a pass at the
-    # floor, with the least of the 32 larger scales; for the largest scale,
-    # i = 64, it ends on the bracket of that scale's crossing
+    # the cap lies 1e-8 above the floor 73.2, about 25 lattice steps, so
+    # the bracket is at most 2 steps wide after one round; alpha drops below
+    # y0, so scale i fails at the floor and passes 0.4e-8 above it, the
+    # larger scales pass at the floor and the smaller ones nowhere. For
+    # i = 32 the search ends at a pass at the floor, with the least of the
+    # 32 larger scales; for the largest scale, i = 64, it ends on the
+    # lattice step of that scale's crossing
     shape = FieldShape(3, 3, math.sqrt(73.2 * (1.0 + 1e-8) / 4.0))
     scales = _candidate_scales(3)
     generic_terms = criteria_engine._generic_terms
@@ -412,17 +508,18 @@ def test_generic_solver_narrow_bracket_near_the_floor(monkeypatch):
 
     monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
     for i, want_c, path in (
-        (32, scales[33], "T in [73.2, 73.2]: 32 of 65 scales pass at hi"),
-        (64, scales[64], "T in [73.2000002745, 73.2000003202]: 1 of 65 scales pass at hi"),
+        (32, scales[33], ("T in [73.2, 73.2]: 32 of 65 scales pass at hi",)),
+        (64, scales[64], ("T in [73.2000002861, 73.2000003457]: 1 of 65 scales pass at hi",
+                          "T in [73.2000002861, 73.2000003159]: 1 of 1 scales pass at hi")),
     ):
         y0 = scales[i] * 73.2 * (1.0 + 4e-9)
         monkeypatch.setattr(criteria_engine, "alpha", lambda y: alpha(y) - 100.0 * (y <= y0))
         rows = []
         report = minimal_T_generic(shape)
-        assert report.c_used == want_c and report.solver_path == (path,)
-        # one round of 17 points decides the search: a 16th of the one
-        # bracket, 1e-8 relative wide, is narrow
-        assert rows == [17]
+        assert report.c_used == want_c and report.solver_path == path
+        # each round decides at most 17 points: one round ends at the pass at
+        # the floor, and a second one closes the 2-step bracket of the crossing
+        assert rows == [17] * len(path)
         assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
 
 
@@ -443,9 +540,9 @@ def test_generic_solver_keeps_the_scales_passing_at_the_upper_end(monkeypatch):
     # the cap 4 * 4.4^2 = 77.44 lies below those of the 9 smallest scales,
     # and there the search passes at the least floor in its first round.
     # rounds, and the scales the last of them decides
-    for shape, floor_mode, rounds, last in ((FieldShape(2, 0, 30.0), False, 8, 1),
-                                            (FieldShape(6, 0, 1000.0), False, 8, 1),
-                                            (FieldShape(5, 1, 200.0), True, 8, 1),
+    for shape, floor_mode, rounds, last in ((FieldShape(2, 0, 30.0), False, 4, 1),
+                                            (FieldShape(6, 0, 1000.0), False, 4, 1),
+                                            (FieldShape(5, 1, 200.0), True, 4, 1),
                                             (FieldShape(2, 2, 4.4), False, 1, 56)):
         calls.clear()
         t_cap = 4.0 * shape.log_disc ** 2
@@ -460,9 +557,10 @@ def test_generic_solver_keeps_the_scales_passing_at_the_upper_end(monkeypatch):
 
 
 def test_generic_solver_evaluations_per_solve(monkeypatch):
-    # the search takes 8 rounds, the first of them deciding the floor and
-    # cap tests too: the bracket [floor, 4e6] narrows to 1e-9 of T near
-    # 3.9e6 in 16^8 parts
+    # the search takes 4 rounds, the first of them deciding the floor and
+    # cap tests too: the first cuts the lattice of [floor, 4e6] into 16
+    # parts, and each later one closes in on the secant estimate of the
+    # crossing near 3.9e6, down to one lattice step
     calls = []
 
     def terms(degree, r1, log_disc, T, s, floor_mode):
@@ -474,8 +572,35 @@ def test_generic_solver_evaluations_per_solve(monkeypatch):
     monkeypatch.setattr(criteria_engine, "_generic_terms", terms)
     shape = FieldShape(6, 0, 1000.0)
     report = minimal_T_generic(shape)
-    assert len(calls) <= 8
+    assert len(calls) <= 5
     assert_same_crossing(report, reference_minimal_T_generic(shape, False), shape, False)
+
+
+def test_generic_solver_steps_past_a_margin_within_rounding(monkeypatch):
+    # where no scale passing at the least passing point clears the rounding
+    # bound, the answer is the smallest scale passing at the next lattice
+    # point, one step of at most 2^-31 relative above; where none clears
+    # there either, no bound is certified
+    shape = FieldShape(2, 0, 30.0)
+    first = minimal_T_generic(shape)
+    passing = [c for c in _candidate_scales(2)
+               if eval_generic(shape, TestConfig(first.T_bound, c)).passed]
+    calls = []
+
+    def bound(ev):
+        calls.append(ev)
+        return math.inf if len(calls) <= len(passing) else 0.0
+
+    monkeypatch.setattr(criteria_engine, "_rounding_bound", bound)
+    report = minimal_T_generic(shape)
+    assert 0.0 < report.T_bound - first.T_bound <= 2.0 ** -31 * first.T_bound
+    assert report.c_used == min(c for c in _candidate_scales(2)
+                                if eval_generic(shape, TestConfig(report.T_bound, c)).passed)
+    assert report.solver_path[-1] == f"T={first.T_bound:.12g}: no scale passes clear of rounding"
+    assert report.evaluation == eval_generic(shape, TestConfig(report.T_bound, report.c_used))
+    monkeypatch.setattr(criteria_engine, "_rounding_bound", lambda ev: math.inf)
+    with pytest.raises(NoBoundCertifiedError):
+        minimal_T_generic(shape)
 
 
 def test_generic_floor_above_cap():

@@ -142,8 +142,8 @@ def test_uncertified_discriminant():
 def test_supplied_discriminant():
     K = NumberField([-5, 0, 1], disc=5)
     assert K.field_disc == 5
-    with pytest.raises(ValueError):
-        NumberField([-5, 0, 1], disc=-5)  # wrong sign for signature (2, 0)
+    with pytest.raises(ValueError, match="positive square"):
+        NumberField([-5, 0, 1], disc=-5)  # quotient 20 / -5 = -4 is negative
     with pytest.raises(ValueError):
         NumberField([-5, 0, 1], disc=10)  # quotient 2 is not a square
     with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ def test_supplied_discriminant():
     ([45, 0, 1], -180),  # x^2 + 45: the field discriminant of Q(sqrt -5) is -20
 ])
 def test_supplied_quadratic_discriminant_must_be_fundamental(coeffs, disc):
-    # each passes the divisibility, square-quotient, sign and mod-4 checks;
+    # each passes the divisibility, square-quotient and mod-4 checks;
     # a quadratic field reads its splitting from the supplied disc alone
     with pytest.raises(ValueError, match="not fundamental"):
         NumberField(coeffs, disc=disc)
